@@ -47,13 +47,14 @@ from .errors import (
     CertificationFailed,
     ConstructionMismatch,
     DimensionMismatch,
+    InfeasibleRange,
     OutOfTheoremScope,
     TooLarge,
     UnsolvedCase,
 )
 from .exactmath import Rat, format_rat
 from .general_lotto import LottoSpec, lotto_optimal_A, lotto_optimal_B
-from .verify import Certificate, certify
+from .verify import Certificate, SweepRow, certify
 
 _log = logging.getLogger(__name__)
 
@@ -309,6 +310,41 @@ def solve(spec: GameSpec) -> EquilibriumReport:
             f"({format_rat(cert.secured_by_A)}, {format_rat(cert.secured_by_B)})"
         )
     return EquilibriumReport(strategy_a, strategy_b, value, cert, case)
+
+
+def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
+    """Solve and certify every instance with 2 <= K <= kmax, K < A <= amax, B < A.
+
+    Unsolved instances are classified and emitted without certification.
+    The first failed certification aborts the sweep with a diagnostic.
+    Results are ordered by (K, A, B).
+    """
+    if kmax < 2 or amax < 3:
+        raise InfeasibleRange(f"sweep needs kmax >= 2 and amax >= 3, got ({kmax}, {amax})")
+    rows = []
+    for K in range(2, kmax + 1):
+        for A in range(K + 1, amax + 1):
+            for B in range(1, A):
+                spec = GameSpec(A, B, K)
+                case = classify(spec)
+                if not is_solved(case):
+                    rows.append(SweepRow(K, A, B, case.value, None, None, None, None))
+                    continue
+                report = solve(spec)
+                cert = report.certificate
+                rows.append(
+                    SweepRow(
+                        K,
+                        A,
+                        B,
+                        case.value,
+                        report.value,
+                        cert.secured_by_A,
+                        cert.secured_by_B,
+                        True,
+                    )
+                )
+    return rows
 
 
 def report_to_json(report: EquilibriumReport) -> dict:

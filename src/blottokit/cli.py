@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from typing import Iterator
 
-from .blotto import GameSpec, blotto_value, classify, report_to_json, solve
+from .blotto import GameSpec, blotto_value, classify, report_to_json, solve, sweep_certify
 from .constructions import (
     E,
     O,
@@ -31,60 +31,10 @@ from .constructions import (
     matrix_to_json,
 )
 from .distributions import U_EVEN, U_ODD, Dist, base_dist, dist_from_json, mean
-from .errors import (
-    BadAlpha,
-    BadCase,
-    BadIndex,
-    BadM,
-    BadWeights,
-    CertificationFailed,
-    ConstructionMismatch,
-    DimensionMismatch,
-    ExcludedCase,
-    InfeasibleParity,
-    InfeasibleRange,
-    MeanMismatch,
-    OutOfTheoremScope,
-    SearchExceeded,
-    TooLarge,
-    UnsolvedCase,
-    ZeroDenominator,
-)
+from .errors import BlottoError, DimensionMismatch, InfeasibleRange, MeanMismatch, UnsolvedCase
 from .exactmath import Rat, format_rat, parse_rat
 from .general_lotto import LottoSpec, lotto_value
-from .verify import certify, rows_to_csv, sweep_certify
-
-_DOMAIN_ERRORS = (
-    BadAlpha,
-    BadCase,
-    BadIndex,
-    BadM,
-    BadWeights,
-    CertificationFailed,
-    ConstructionMismatch,
-    DimensionMismatch,
-    ExcludedCase,
-    InfeasibleParity,
-    InfeasibleRange,
-    MeanMismatch,
-    OutOfTheoremScope,
-    SearchExceeded,
-    TooLarge,
-    UnsolvedCase,
-    ZeroDenominator,
-)
-
-_PROBE_ERRORS = (
-    BadAlpha,
-    BadCase,
-    BadIndex,
-    BadM,
-    ConstructionMismatch,
-    ExcludedCase,
-    InfeasibleParity,
-    InfeasibleRange,
-    MeanMismatch,
-)
+from .verify import certify, rows_to_csv
 
 
 def _rat_arg(text: str) -> Rat:
@@ -141,24 +91,34 @@ def _closed_form_candidates(
                 # A recognized grid distribution with an infeasible budget
                 # parity is a definitive no, so let the builder's error out.
                 yield implement_u(kind, grid, budget, battlefields)
+
+    def prop7(m: int) -> PartitionMatrix:
+        return build_prop7_B(m, battlefields, budget)
+
     builders = [
         lambda m: build_prop3_B(m, battlefields, budget),
         lambda m: build_prop4_A(m, battlefields, budget),
         lambda m: build_prop5_A(m, battlefields, budget, P1),
         lambda m: build_prop5_A(m, battlefields, budget, P2),
         lambda m: build_prop6_B(m, battlefields),
-        lambda m: build_prop7_B(m, battlefields, budget),
+        prop7,
         lambda m: build_prop10_B(m, battlefields, budget),
     ]
     if battlefields == 2:
         builders += [lambda m: build_EO(E, m), lambda m: build_EO(O, m)]
     if battlefields == 3:
         builders += [lambda m: build_EO(RE, m), lambda m: build_EO(RO, m)]
-    for m in range(1, target.max_support() + 2):
+    # Every builder at parameter m tops out at 2m - 1, 2m or 2m + 1.
+    top = target.max_support()
+    for m in range(max(top // 2, 1), (top + 1) // 2 + 1):
         for builder in builders:
+            if builder is prop7 and budget == m * battlefields:
+                # At full width the builder has no closed form and would
+                # search; searching is left to --search.
+                continue
             try:
                 yield builder(m)
-            except _PROBE_ERRORS:
+            except BlottoError:
                 continue
 
 
@@ -314,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except _DOMAIN_ERRORS as exc:
+    except BlottoError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:

@@ -91,23 +91,6 @@ class PartitionMatrix:
         return normalized(cardinality(self))
 
 
-@dataclass(frozen=True)
-class ImplementTarget:
-    """A distribution to realize as a matrix's normalized cardinality."""
-
-    target: Dist
-    budget: int
-    battlefields: int
-
-    def __post_init__(self) -> None:
-        got = mean(self.target) * self.battlefields
-        if got != self.budget:
-            raise MeanMismatch(
-                f"target mean times {self.battlefields} battlefields is {got}, "
-                f"budget is {self.budget}"
-            )
-
-
 def matrix_to_json(matrix: PartitionMatrix) -> dict:
     """JSON form: {"budget": C, "battlefields": K, "rows": [[...], ...]}."""
     return {
@@ -880,19 +863,9 @@ _P1_WIDE_BUMP = {
     "S-VIII": 1,
 }
 
-_P1_WIDE_OVERRIDES_M8 = {
-    "S-V": [(13, 3, 3, 13, 10)] * 2 + [(9, 8, 5, 9, 11)] * 4 + [(5, 11, 7, 5, 14)] * 6,
-    "S-VI": [(12, 6, 3, 12, 9)] * 4 + [(8, 9, 5, 8, 12)] * 2,
-    "S-VIII": [(14, 4, 1, 14, 9)] * 2 + [(12, 5, 1, 12, 12)] * 2 + [(10, 8, 1, 10, 13)] * 2,
-}
-
-
 def _p1_wide_rows(m: int) -> list[list[int]]:
     rows: list[list[int]] = []
     for name, tag, groups in _materialize(_p1_single_blocks(m)):
-        if m == 8 and name in _P1_WIDE_OVERRIDES_M8:
-            rows.extend(list(row) for row in _P1_WIDE_OVERRIDES_M8[name])
-            continue
         bump = _P1_WIDE_BUMP[name]
         for _, part_rows in groups:
             for row in part_rows:
@@ -1172,7 +1145,8 @@ def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
         if (K - 5) // 2:
             parts.append(_odd_pad(m, (K - 5) // 2, m + 1))
         return hcat(parts)
-    if K >= 5 and m <= 8:
+    if K >= 5 and m <= 6:
+        # The S5 split family fails its self-check at m = 2, 4 and 6.
         wide = _rows_matrix(
             f"T4({m})",
             5 * m + 2,
@@ -1564,13 +1538,15 @@ def _attempt(
         odd_allow = odd_left - (left - 1) if budget % 2 else odd_left
         bound = rows[-1][1:] if rows and rows[-1][0] == pivot else None
         for completion in _completions(rem, budget - pivot, K - 1, pivot, odd_allow):
-            if bound is not None and completion > bound:
-                continue
+            # Count every generated completion, rejected ones included, so
+            # the budget bounds the work done and not only the rows tried.
             spent[0] += 1
             if spent[0] > _NODE_BUDGET:
                 raise SearchExceeded(
                     f"row search exceeded {_NODE_BUDGET} placements"
                 )
+            if bound is not None and completion > bound:
+                continue
             used_odd = sum(1 for v in completion if v % 2)
             for v in completion:
                 rem[v] -= 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import BadIndex, BadM, BadWeights
 from .exactmath import Rat, format_rat, parse_rat
@@ -47,13 +47,6 @@ class Dist:
             raise BadWeights(f"weights sum to {sum(cleaned.values())}, not 1")
         return cls(tuple(sorted(cleaned.items())))
 
-    @property
-    def weights(self) -> dict[int, Fraction]:
-        return dict(self.items)
-
-    def weight(self, point: int) -> Fraction:
-        return self.weights.get(point, Fraction(0))
-
     def support(self) -> tuple[int, ...]:
         return tuple(point for point, _ in self.items)
 
@@ -70,7 +63,8 @@ def point_mass(point: int) -> Dist:
     return Dist.from_weights({point: 1})
 
 
-def _base_counts(kind: str, m: int, j: int | None) -> IntVec:
+def base_vector(kind: str, m: int, j: int | None = None) -> IntVec:
+    """Counts map of the requested base family member over [0, 2m(+1)]."""
     if kind in (U_ODD, U_EVEN, U_ODD_UP):
         if j is not None:
             raise BadIndex(f"{kind} takes no index j")
@@ -110,14 +104,9 @@ def _base_counts(kind: str, m: int, j: int | None) -> IntVec:
     raise BadIndex(f"unknown base vector kind {kind!r}")
 
 
-def base_vector(kind: str, m: int, j: int | None = None) -> IntVec:
-    """Counts map of the requested base family member over [0, 2m(+1)]."""
-    return _base_counts(kind, m, j)
-
-
 def base_dist(kind: str, m: int, j: int | None = None) -> Dist:
     """The base vector normalized to a probability distribution."""
-    counts = _base_counts(kind, m, j)
+    counts = base_vector(kind, m, j)
     total = sum(counts.values())
     return Dist.from_weights({p: Fraction(c, total) for p, c in counts.items()})
 
@@ -164,6 +153,25 @@ def payoff_H(x: Dist, y: Dist) -> Rat:
     return total
 
 
+def gain_table(opponent: Dist, top: int) -> list[Fraction]:
+    """g(t) = P(t > Y) - P(t < Y) against Y ~ opponent, for t in [0, top].
+
+    The same sign kernel as `payoff_H` with a point mass on t, tabulated in
+    one sweep over the opponent's sorted support as 2*P(Y < t) + P(Y = t) - 1.
+    """
+    items = opponent.items
+    table = []
+    below = Fraction(0)
+    index = 0
+    for t in range(top + 1):
+        while index < len(items) and items[index][0] < t:
+            below += items[index][1]
+            index += 1
+        tie = items[index][1] if index < len(items) and items[index][0] == t else 0
+        table.append(2 * below + tie - 1)
+    return table
+
+
 def normalized(counts: Mapping[int, int]) -> Dist:
     """Counts map scaled by the reciprocal of its total."""
     total = sum(counts.values())
@@ -197,8 +205,3 @@ def dist_from_json(obj: Mapping) -> Dist:
     """Inverse of dist_to_json."""
     weights = obj["weights"]
     return Dist.from_weights({int(p): parse_rat(w) for p, w in weights.items()})
-
-
-def dist_items(dist: Dist) -> Iterable[tuple[int, Fraction]]:
-    """Sorted (point, weight) pairs."""
-    return dist.items

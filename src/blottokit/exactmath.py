@@ -1,8 +1,8 @@
-"""Exact rational arithmetic and floor division helpers.
+"""Exact rational arithmetic helpers.
 
 Rationals are `fractions.Fraction` values throughout the package; this module
-pins the constructor, the floor-division contract, and the "p/q" text form
-used by every external interface (no floats anywhere).
+pins the constructor and the "p/q" text form used by every external
+interface (no floats anywhere).
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ def rat(numerator: int, denominator: int = 1) -> Rat:
     if denominator == 0:
         raise ZeroDenominator(f"rat({numerator}, 0)")
     return Fraction(numerator, denominator)
-
-
-def floordiv_mod(x: int, y: int) -> tuple[int, int]:
-    """Return (q, r) with x = q*y + r and 0 <= r < y; requires y >= 1."""
-    return divmod(x, y)
 
 
 def format_rat(value: Rat | int) -> str:

@@ -20,6 +20,7 @@ from .distributions import (
     U_EVEN,
     U_ODD,
     base_dist,
+    gain_table,
     mix,
     normalized,
     point_mass,
@@ -167,16 +168,6 @@ def lotto_optimal_B(spec: LottoSpec, uniform_member: bool = False) -> Dist:
     )
 
 
-def _gain_table(opponent: Dist, top: int) -> list[Fraction]:
-    """g(t) = P(t > Y) - P(t < Y) for integer unit placements t in [0, top]."""
-    table = []
-    for t in range(top + 1):
-        below = sum(w for v, w in opponent.items if v < t)
-        above = sum(w for v, w in opponent.items if v > t)
-        table.append(Fraction(below - above))
-    return table
-
-
 def _solve_three(
     points: tuple[int, int, int], budget: Fraction, floor: Fraction
 ) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -219,7 +210,7 @@ def envelope_best_response(
         odd_floor = Fraction(odd_floor)
         top += 1
     top = max(top, math.floor(budget) + 2)
-    gain = _gain_table(opponent, top)
+    gain = gain_table(opponent, top)
     best: Fraction | None = None
 
     def offer(candidate: Fraction) -> None:

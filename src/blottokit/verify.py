@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constructions import PartitionMatrix
-from .distributions import Dist
+from .distributions import gain_table
 from .errors import DimensionMismatch, InfeasibleRange
 from .exactmath import Rat, format_rat
 
@@ -32,25 +30,6 @@ class Certificate:
     secured_by_A: Rat
     secured_by_B: Rat
     equilibrium: bool
-
-
-def _gain_table(marginal: Dist, top: int) -> list[Fraction]:
-    """g(t) = P(t > Y) - P(t < Y) against marginal Y, for t in [0, top]."""
-    items = marginal.items
-    table = []
-    below = Fraction(0)
-    index = 0
-    for t in range(top + 1):
-        while index < len(items) and items[index][0] < t:
-            below += items[index][1]
-            index += 1
-        tie = (
-            items[index][1]
-            if index < len(items) and items[index][0] == t
-            else Fraction(0)
-        )
-        table.append(below - (1 - below - tie))
-    return table
 
 
 def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
@@ -70,7 +49,7 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
         raise InfeasibleRange(f"reply budget must be non-negative, got {budget}")
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
-    gain = _gain_table(opponent.to_dist(), budget)
+    gain = gain_table(opponent.to_dist(), budget)
     best = list(gain)
     for _ in range(K - 1):
         best = [
@@ -115,50 +94,6 @@ class SweepRow:
     secured_A: Rat | None
     secured_B: Rat | None
     certified: bool | None
-
-
-def _sweep_instance(task: tuple[int, int, int]) -> SweepRow:
-    # Imported here: the solver module itself depends on this certifier.
-    from . import blotto
-
-    K, A, B = task
-    spec = blotto.GameSpec(A, B, K)
-    case = blotto.classify(spec)
-    if not blotto.is_solved(case):
-        return SweepRow(K, A, B, case.value, None, None, None, None)
-    report = blotto.solve(spec)
-    cert = report.certificate
-    return SweepRow(
-        K,
-        A,
-        B,
-        case.value,
-        report.value,
-        cert.secured_by_A,
-        cert.secured_by_B,
-        True,
-    )
-
-
-def sweep_certify(kmax: int, amax: int, workers: int = 1) -> list[SweepRow]:
-    """Solve and certify every instance with 2 <= K <= kmax, K < A <= amax, B < A.
-
-    Unsolved instances are classified and emitted without certification.
-    The first failed certification aborts the sweep with a diagnostic.
-    Results are ordered by (K, A, B) regardless of worker count.
-    """
-    if kmax < 2 or amax < 3:
-        raise InfeasibleRange(f"sweep needs kmax >= 2 and amax >= 3, got ({kmax}, {amax})")
-    tasks = [
-        (K, A, B)
-        for K in range(2, kmax + 1)
-        for A in range(K + 1, amax + 1)
-        for B in range(1, A)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_instance, tasks, chunksize=16))
-    return [_sweep_instance(task) for task in tasks]
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

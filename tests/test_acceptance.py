@@ -26,6 +26,7 @@ from blottokit.blotto import (
     payoff_blotto_exhaustive,
     payoff_lotto,
     solve,
+    sweep_certify,
     symmetrize,
 )
 from blottokit.constructions import (
@@ -74,7 +75,7 @@ from blottokit.general_lotto import (
     lotto_optimal_B,
     lotto_value,
 )
-from blottokit.verify import best_response_value, sweep_certify
+from blottokit.verify import best_response_value
 
 
 def random_partition(rng: random.Random, total: int, parts: int) -> tuple[int, ...]:

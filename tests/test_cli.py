@@ -6,10 +6,11 @@ import json
 
 import pytest
 
+from blottokit import cli, constructions
 from blottokit.blotto import GameSpec, solve
 from blottokit.cli import main
 from blottokit.constructions import matrix_from_json, matrix_to_json
-from blottokit.distributions import dist_from_json
+from blottokit.distributions import dist_from_json, dist_to_json
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -97,6 +98,29 @@ def test_implement_falls_back_to_search_on_request(capsys):
     assert code == 0
     matrix = matrix_from_json(json.loads(out))
     assert matrix.to_dist() == dist_from_json(json.loads(dist))
+
+
+def test_implement_never_searches_without_the_flag(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("implement searched without --search")
+
+    monkeypatch.setattr(cli, "generic_implement", no_search)
+    monkeypatch.setattr(constructions, "generic_implement", no_search)
+    # Full-width prop7_B targets have no closed form, so they need --search.
+    for weights, c, k in (
+        ({"0": "1/2", "22": "1/2"}, "33", "3"),
+        ({"0": "1/3", "1": "1/3", "2": "1/3"}, "3", "3"),
+    ):
+        dist = json.dumps({"weights": weights})
+        code, _, err = run(capsys, "implement", "--dist", dist, "--c", c, "--k", k)
+        assert code == 1
+        assert err.startswith("UnsolvedCase:") and "--search" in err
+    # A closed-form prop7_B target below full width is still found.
+    target = constructions.build_prop7_B(2, 3, 5).to_dist()
+    dist = json.dumps(dist_to_json(target))
+    code, out, _ = run(capsys, "implement", "--dist", dist, "--c", "5", "--k", "3")
+    assert code == 0
+    assert matrix_from_json(json.loads(out)).to_dist() == target
 
 
 def test_implement_rejects_mean_mismatch(capsys):

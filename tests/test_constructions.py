@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from blottokit import constructions
 from blottokit.constructions import (
     E,
     O,
@@ -223,6 +224,19 @@ def test_prop5_point1_staircase():
     )
 
 
+def test_prop5_point1_m8_matches_target():
+    m = 8
+    delta = Fraction(2 * m + 1, m + 1)
+    for K in (5, 7, 9, 11):
+        for r in range(2, (K - 1) // 2 + 1):
+            matrix = build_prop5_A(m, K, K * m + r, P1)
+            alpha = Fraction(r, K)
+            assert (matrix.budget, matrix.battlefields) == (K * m + r, K)
+            assert matrix.to_dist() == mix(
+                [(alpha * delta, vbar(m)), (1 - alpha * delta, base_dist(U_ODD, m))]
+            ), (K, r)
+
+
 def test_prop5_point2_small():
     matrix = build_prop5_A(1, 3, 5, P2)
     delta = Fraction(3, 2)
@@ -343,6 +357,14 @@ def test_generic_implement_respects_parity_law():
 def test_generic_implement_row_cap():
     with pytest.raises(SearchExceeded):
         generic_implement(base_dist(U_EVEN, 2), 6, 3, max_rows=2)
+
+
+def test_node_budget_counts_rejected_completions(monkeypatch):
+    # This search generates 17,614 completions, fewer than half of which
+    # pass the row-order bound; the budget must count all of them.
+    monkeypatch.setattr(constructions, "_NODE_BUDGET", 10_000)
+    with pytest.raises(SearchExceeded):
+        build_prop7_B(9, 3, 27)
 
 
 def test_matrix_json_round_trip():

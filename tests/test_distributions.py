@@ -20,6 +20,7 @@ from blottokit.distributions import (
     base_vector,
     dist_from_json,
     dist_to_json,
+    gain_table,
     mean,
     mix,
     normalized,
@@ -103,7 +104,7 @@ def test_mix_rejects_bad_weights():
 def test_mix_drops_zero_weight_parts():
     kept = mix([(0, point_mass(9)), (1, point_mass(1))])
     assert kept == point_mass(1)
-    assert kept.weight(9) == 0
+    assert 9 not in kept.support()
 
 
 def test_mean_examples():
@@ -122,6 +123,14 @@ def test_payoff_examples():
 @given(small_dists, small_dists)
 def test_payoff_antisymmetry(x, y):
     assert payoff_H(x, y) == -payoff_H(y, x)
+
+
+@given(small_dists, st.integers(min_value=0, max_value=12))
+def test_gain_table_is_payoff_of_point_masses(d, top):
+    table = gain_table(d, top)
+    assert len(table) == top + 1
+    for t, gain in enumerate(table):
+        assert gain == payoff_H(point_mass(t), d)
 
 
 @given(small_dists, small_dists, st.integers(min_value=0, max_value=6))

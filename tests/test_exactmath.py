@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and integer-division helpers."""
+"""Exact rational arithmetic helpers."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blottokit.errors import ZeroDenominator
-from blottokit.exactmath import floordiv_mod, format_rat, parse_rat, rat
+from blottokit.exactmath import format_rat, parse_rat, rat
 
 
 def test_rat_normalizes():
@@ -29,12 +29,6 @@ def test_rat_zero_denominator():
         rat(1, 0)
 
 
-def test_floordiv_mod_examples():
-    assert floordiv_mod(7, 3) == (2, 1)
-    assert floordiv_mod(6, 3) == (2, 0)
-    assert floordiv_mod(19, 3) == (6, 1)
-
-
 @given(
     st.integers(min_value=-1000, max_value=1000),
     st.integers(min_value=-1000, max_value=1000),
@@ -45,17 +39,6 @@ def test_rat_addition_matches_cross_multiplication(a, b, c, d):
     if b == 0 or d == 0:
         return
     assert rat(a, b) + rat(c, d) == rat(a * d + c * b, b * d)
-
-
-@given(st.integers(min_value=0, max_value=1000), st.integers(min_value=1, max_value=50))
-def test_floordiv_mod_matches_repeated_subtraction(x, y):
-    quotient, remainder = 0, x
-    while remainder >= y:
-        remainder -= y
-        quotient += 1
-    assert floordiv_mod(x, y) == (quotient, remainder)
-    assert quotient * y + remainder == x
-    assert 0 <= remainder < y
 
 
 def test_format_rat_always_slashes():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from blottokit.blotto import GameSpec, solve
+from blottokit.blotto import GameSpec, solve, sweep_certify
 from blottokit.constructions import PartitionMatrix, build_EO, E
 from blottokit.errors import DimensionMismatch, InfeasibleRange
 from blottokit.verify import (
@@ -16,7 +16,6 @@ from blottokit.verify import (
     best_response_value,
     certify,
     rows_to_csv,
-    sweep_certify,
 )
 
 
@@ -134,10 +133,6 @@ def test_sweep_rejects_bad_bounds():
         sweep_certify(1, 8)
     with pytest.raises(InfeasibleRange):
         sweep_certify(2, 2)
-
-
-def test_sweep_worker_count_does_not_change_results():
-    assert sweep_certify(2, 8, workers=2) == sweep_certify(2, 8)
 
 
 def test_csv_rendering():
