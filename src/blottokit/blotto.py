@@ -170,7 +170,11 @@ def is_solved(case: GameCase) -> bool:
 
 def blotto_value(spec: GameSpec) -> Rat:
     """Exact value of a solved instance for the stronger player."""
-    case = classify(spec)
+    return _closed_form_value(spec, classify(spec))
+
+
+def _closed_form_value(spec: GameSpec, case: GameCase) -> Rat:
+    """The value formula of the regime `case` that `classify` gave `spec`."""
     A, B, K = spec.A, spec.B, spec.K
     m, R = spec.m, spec.R
     if case is GameCase.LOW_B_TRIVIAL:
@@ -290,7 +294,7 @@ def _build_side(side: str, spec: GameSpec, builder, target: Dist) -> PartitionMa
 def solve(spec: GameSpec) -> EquilibriumReport:
     """Certified equilibrium of a solved instance."""
     case = classify(spec)
-    value = blotto_value(spec)
+    value = _closed_form_value(spec, case)
     if case is GameCase.LOW_B_TRIVIAL:
         strategy_a = _spread_matrix(spec)
         strategy_b = _single_row_matrix(spec.B, spec.K)

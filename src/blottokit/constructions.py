@@ -45,6 +45,7 @@ from .errors import (
     ExcludedCase,
     InfeasibleParity,
     InfeasibleRange,
+    MalformedJSON,
     MeanMismatch,
     SearchExceeded,
 )
@@ -102,11 +103,15 @@ def matrix_to_json(matrix: PartitionMatrix) -> dict:
 
 def matrix_from_json(obj: Mapping) -> PartitionMatrix:
     """Inverse of matrix_to_json."""
-    return PartitionMatrix(
-        int(obj["budget"]),
-        int(obj["battlefields"]),
-        tuple(tuple(int(x) for x in row) for row in obj["rows"]),
-    )
+    try:
+        budget = int(obj["budget"])
+        battlefields = int(obj["battlefields"])
+        rows = tuple(tuple(int(x) for x in row) for row in obj["rows"])
+    except KeyError as exc:
+        raise MalformedJSON(f"partition matrix JSON lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedJSON(f"partition matrix JSON is malformed: {exc}") from None
+    return PartitionMatrix(budget, battlefields, rows)
 
 
 def cardinality(matrix: PartitionMatrix) -> IntVec:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import BadIndex, BadM, BadWeights
+from .errors import BadIndex, BadM, BadWeights, MalformedJSON
 from .exactmath import Rat, format_rat, parse_rat
 
 IntVec = dict[int, int]
@@ -112,11 +112,19 @@ def base_dist(kind: str, m: int, j: int | None = None) -> Dist:
 
 
 def vbar(m: int) -> Dist:
-    """Uniform mixture of the V(j, m) family over j = 1..m."""
+    """Uniform mixture of the V(j, m) family over j = 1..m.
+
+    Every V(j, m) has total 2m + 1, so the mixture is the normalized sum of
+    their counts: 2i - 1 appears once in V(i, m) and twice in each V(j, m)
+    with j > i, and 2i twice in each V(j, m) with j <= i.
+    """
     if m < 1:
         raise BadM(f"vbar needs m >= 1, got {m}")
-    share = Fraction(1, m)
-    return mix([(share, base_dist(V, m, j)) for j in range(1, m + 1)])
+    counts: IntVec = {}
+    for i in range(1, m + 1):
+        counts[2 * i - 1] = 1 + 2 * (m - i)
+        counts[2 * i] = 2 * i
+    return normalized(counts)
 
 
 def mix(parts: Sequence[tuple[Rat | int, Dist]]) -> Dist:
@@ -153,22 +161,27 @@ def payoff_H(x: Dist, y: Dist) -> Rat:
     return total
 
 
-def gain_table(opponent: Dist, top: int) -> list[Fraction]:
-    """g(t) = P(t > Y) - P(t < Y) against Y ~ opponent, for t in [0, top].
+def gain_table(counts: Mapping[int, int], top: int) -> list[int]:
+    """total * g(t) for t in [0, top], with g(t) = P(t > Y) - P(t < Y).
 
-    The same sign kernel as `payoff_H` with a point mass on t, tabulated in
-    one sweep over the opponent's sorted support as 2*P(Y < t) + P(Y = t) - 1.
+    Y follows the normalized counts map and `total` is the sum of its counts,
+    so every entry is the integer 2*#{Y < t} + #{Y = t} - total: the sign
+    kernel of `payoff_H` with a point mass on t, scaled to integers and
+    tabulated in one sweep over the sorted support.  g is non-decreasing and
+    constant from max(support) + 1 on.
     """
-    items = opponent.items
+    total = sum(counts.values())
+    if total <= 0 or any(count < 0 for count in counts.values()):
+        raise BadWeights("a gain table needs non-negative counts with a positive total")
+    points = sorted(counts)
     table = []
-    below = Fraction(0)
+    below = 0
     index = 0
     for t in range(top + 1):
-        while index < len(items) and items[index][0] < t:
-            below += items[index][1]
+        while index < len(points) and points[index] < t:
+            below += counts[points[index]]
             index += 1
-        tie = items[index][1] if index < len(items) and items[index][0] == t else 0
-        table.append(2 * below + tie - 1)
+        table.append(2 * below + counts.get(t, 0) - total)
     return table
 
 
@@ -203,5 +216,10 @@ def dist_to_json(dist: Dist) -> dict:
 
 def dist_from_json(obj: Mapping) -> Dist:
     """Inverse of dist_to_json."""
-    weights = obj["weights"]
-    return Dist.from_weights({int(p): parse_rat(w) for p, w in weights.items()})
+    try:
+        weights = {int(p): parse_rat(w) for p, w in obj["weights"].items()}
+    except KeyError as exc:
+        raise MalformedJSON(f"distribution JSON lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedJSON(f"distribution JSON is malformed: {exc}") from None
+    return Dist.from_weights(weights)

@@ -79,3 +79,7 @@ class CertificationFailed(BlottoError, AssertionError):
 
 class TooLarge(BlottoError, ValueError):
     """An exhaustive expansion was requested beyond its size bound."""
+
+
+class MalformedJSON(BlottoError, ValueError):
+    """A JSON document lacks a required key or holds a value of the wrong form."""

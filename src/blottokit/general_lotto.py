@@ -210,10 +210,13 @@ def envelope_best_response(
         odd_floor = Fraction(odd_floor)
         top += 1
     top = max(top, math.floor(budget) + 2)
-    gain = gain_table(opponent, top)
-    best: Fraction | None = None
+    # Integer counts with the same shape as the opponent, so the table holds
+    # scale * g and the optimum is divided by scale once.
+    scale = math.lcm(*(weight.denominator for _, weight in opponent.items))
+    gain = gain_table({p: int(w * scale) for p, w in opponent.items}, top)
+    best: Fraction | int | None = None
 
-    def offer(candidate: Fraction) -> None:
+    def offer(candidate: Fraction | int) -> None:
         nonlocal best
         if best is None or candidate > best:
             best = candidate
@@ -244,4 +247,4 @@ def envelope_best_response(
         raise OutOfTheoremScope(
             f"no feasible strategy with mean {budget} and odd-mass floor {odd_floor}"
         )
-    return best
+    return Fraction(best) / scale

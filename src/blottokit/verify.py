@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 
-from .constructions import PartitionMatrix
+from .constructions import PartitionMatrix, cardinality
 from .distributions import gain_table
 from .errors import DimensionMismatch, InfeasibleRange
 from .exactmath import Rat, format_rat
@@ -39,7 +41,12 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
     uniformly at random, so every battlefield independently faces the
     opponent's aggregate per-entry distribution; the reply is then a
     budget-exact maximization of the per-battlefield gain, solved by
-    dynamic programming in O(K * budget^2) exact-arithmetic states.
+    dynamic programming in integer arithmetic on the gain scaled by the
+    opponent's L*K entries, with one division at the end.  The gain is
+    non-decreasing and flat above the opponent's largest entry s, so
+    spending exactly the budget is worth as much as spending at most it,
+    and no battlefield needs more than s + 1 units: the program runs in
+    O(K * budget * min(budget, s + 1)) integer steps.
     """
     if opponent.battlefields != K:
         raise DimensionMismatch(
@@ -49,14 +56,20 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
         raise InfeasibleRange(f"reply budget must be non-negative, got {budget}")
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
-    gain = gain_table(opponent.to_dist(), budget)
-    best = list(gain)
+    counts = cardinality(opponent)
+    cap = min(budget, max(counts) + 1)
+    gain = gain_table(counts, cap)
+    # best[c]: largest scaled gain on the battlefields so far with at most c
+    # units.  With h = min(c, cap), descending[cap - h:] is gain[h], ..., gain[0]
+    # and lines up each placement t with best[c - t].
+    descending = gain[::-1]
+    best = [gain[min(c, cap)] for c in range(budget + 1)]
     for _ in range(K - 1):
         best = [
-            max(gain[t] + best[c - t] for t in range(c + 1))
+            max(map(add, descending[max(cap - c, 0) :], best[max(c - cap, 0) : c + 1]))
             for c in range(budget + 1)
         ]
-    return best[budget] / K
+    return Fraction(best[budget], opponent.row_count * K * K)
 
 
 def certify(

@@ -78,6 +78,36 @@ def test_verify_rejects_malformed_strategy_files(capsys, tmp_path):
     assert err.strip()
 
 
+def test_verify_rejects_matrix_without_battlefields(capsys, tmp_path):
+    report = solve(GameSpec(7, 6, 2))
+    broken = matrix_to_json(report.strategy_A)
+    del broken["battlefields"]
+    stored = tmp_path / "strategies.json"
+    stored.write_text(
+        json.dumps({"A": broken, "B": matrix_to_json(report.strategy_B)}), encoding="utf-8"
+    )
+    code, out, err = run(
+        capsys, "verify", "--a", "7", "--b", "6", "--k", "2", "--strategies", str(stored)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedJSON:") and "battlefields" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [{"foo": 1}, {"weights": {"0": "x"}}],
+    ids=["no-weights-key", "non-rational-weight"],
+)
+def test_implement_rejects_malformed_distribution(capsys, dist):
+    code, out, err = run(
+        capsys, "implement", "--dist", json.dumps(dist), "--c", "4", "--k", "3"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedJSON:")
+    assert err.count("\n") == 1
+
+
 def test_implement_matches_named_builder(capsys):
     dist = json.dumps({"weights": {"0": "1/3", "2": "1/3", "4": "1/3"}})
     code, out, _ = run(capsys, "implement", "--dist", dist, "--c", "4", "--k", "2")

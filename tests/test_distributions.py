@@ -37,12 +37,13 @@ def dist_of(weights: dict[int, Fraction]) -> Dist:
     return Dist.from_weights(weights)
 
 
-small_dists = st.dictionaries(
+small_counts = st.dictionaries(
     st.integers(min_value=0, max_value=8),
     st.integers(min_value=1, max_value=9),
     min_size=1,
     max_size=5,
-).map(lambda counts: normalized(counts))
+)
+small_dists = small_counts.map(normalized)
 
 
 def test_base_vector_examples():
@@ -77,6 +78,10 @@ def test_vbar_examples():
     halves = mix([(Fraction(1, 2), base_dist(V, 2, j=1)), (Fraction(1, 2), base_dist(V, 2, j=2))])
     assert vbar(2) == halves
     assert mean(vbar(2)) == mean(halves)
+    for m in range(1, 25):
+        share = Fraction(1, m)
+        mixture = mix([(share, base_dist(V, m, j)) for j in range(1, m + 1)])
+        assert vbar(m).items == mixture.items
     with pytest.raises(BadM):
         vbar(0)
 
@@ -125,12 +130,21 @@ def test_payoff_antisymmetry(x, y):
     assert payoff_H(x, y) == -payoff_H(y, x)
 
 
-@given(small_dists, st.integers(min_value=0, max_value=12))
-def test_gain_table_is_payoff_of_point_masses(d, top):
-    table = gain_table(d, top)
+@given(small_counts, st.integers(min_value=0, max_value=12))
+def test_gain_table_is_payoff_of_point_masses(counts, top):
+    table = gain_table(counts, top)
+    total = sum(counts.values())
     assert len(table) == top + 1
     for t, gain in enumerate(table):
-        assert gain == payoff_H(point_mass(t), d)
+        assert type(gain) is int
+        assert gain == total * payoff_H(point_mass(t), normalized(counts))
+
+
+def test_gain_table_rejects_empty_or_negative_counts():
+    with pytest.raises(BadWeights):
+        gain_table({}, 3)
+    with pytest.raises(BadWeights):
+        gain_table({0: 2, 1: -1}, 3)
 
 
 @given(small_dists, small_dists, st.integers(min_value=0, max_value=6))

@@ -113,6 +113,22 @@ def test_envelope_examples():
         envelope_best_response(point_mass(0), 0)
 
 
+def test_envelope_reply_is_always_a_fraction():
+    # Integral optima come straight off the integer gain table; the result
+    # must still be an exact Fraction, never an int or a float.
+    thirds = normalized({0: 1, 2: 1, 4: 1})
+    for opponent, budget, floor, want in (
+        (point_mass(0), 1, None, Fraction(1)),
+        (point_mass(0), 2, Fraction(1, 2), Fraction(1)),
+        (point_mass(1), 1, None, Fraction(0)),
+        (thirds, 2, None, Fraction(0)),
+        (thirds, Fraction(5, 2), Fraction(1, 2), Fraction(1, 6)),
+    ):
+        got = envelope_best_response(opponent, budget, floor)
+        assert type(got) is Fraction
+        assert got == want
+
+
 def test_constrained_increment_uses_smaller_mass_share():
     # The floor on odd mass raises the value by c*min(alpha, 1-alpha)/(m(m+1));
     # the envelope oracle pins the minimum (not the maximum) on both sides of

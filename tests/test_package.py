@@ -19,7 +19,7 @@ def test_every_error_derives_from_the_base_and_keeps_its_builtin_parent():
         for cls in vars(errors).values()
         if inspect.isclass(cls) and cls.__module__ == errors.__name__ and cls is not BlottoError
     ]
-    assert len(classes) == 17
+    assert len(classes) == 18
     for cls in classes:
         assert issubclass(cls, BlottoError), cls
         builtin = [base for base in cls.__bases__ if base is not BlottoError]

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blottokit.blotto import GameSpec, solve, sweep_certify
 from blottokit.constructions import PartitionMatrix, build_EO, E
+from blottokit.distributions import payoff_H, point_mass
 from blottokit.errors import DimensionMismatch, InfeasibleRange
 from blottokit.verify import (
     Certificate,
@@ -37,7 +40,43 @@ def test_best_response_against_zero_opponent():
         zeros = PartitionMatrix(0, K, ((0,) * K,))
         for budget in range(0, 2 * K + 1):
             expected = Fraction(min(budget, K), K)
-            assert best_response_value(zeros, budget, K) == expected
+            got = best_response_value(zeros, budget, K)
+            assert got == expected
+            assert type(got) is Fraction
+
+
+def uncapped_reply_value(opponent: PartitionMatrix, budget: int, K: int) -> Fraction:
+    """The O(K * budget^2) Fraction DP over budget-exact placements, with no cap."""
+    dist = opponent.to_dist()
+    gain = [payoff_H(point_mass(t), dist) for t in range(budget + 1)]
+    best = list(gain)
+    for _ in range(K - 1):
+        best = [max(gain[t] + best[c - t] for t in range(c + 1)) for c in range(budget + 1)]
+    return best[budget] / K
+
+
+@st.composite
+def opponents_and_budgets(draw):
+    K = draw(st.integers(min_value=2, max_value=4))
+    total = draw(st.integers(min_value=0, max_value=8))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        cuts = sorted(draw(st.integers(min_value=0, max_value=total)) for _ in range(K - 1))
+        bounds = [0, *cuts, total]
+        rows.append(tuple(bounds[i + 1] - bounds[i] for i in range(K)))
+    opponent = PartitionMatrix(total, K, tuple(rows))
+    # Up to four times the largest entry, so that the per-battlefield cap binds.
+    largest = max(max(row) for row in rows)
+    budget = draw(st.integers(min_value=0, max_value=4 * max(largest, 1)))
+    return opponent, budget, K
+
+
+@given(opponents_and_budgets())
+def test_capped_integer_dp_matches_uncapped_fraction_dp(case):
+    opponent, budget, K = case
+    got = best_response_value(opponent, budget, K)
+    assert type(got) is Fraction
+    assert got == uncapped_reply_value(opponent, budget, K)
 
 
 def test_best_response_reproduces_game_value():
