@@ -17,7 +17,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .constructions import (
     P1,
@@ -221,31 +221,39 @@ def _single_row_matrix(budget: int, battlefields: int) -> PartitionMatrix:
 
 
 def _attack_plan(spec: GameSpec, case: GameCase):
-    """(builder, target distribution) for the stronger player's matrix."""
+    """(builder, target thunk) for the stronger player's matrix.
+
+    Both are zero-argument callables; the target distribution is built only
+    if the builder's self-check fails and the fallback search needs it.
+    """
     A, B, K = spec.A, spec.B, spec.K
     m, R = spec.m, spec.R
     a, b = Fraction(A, K), Fraction(B, K)
     if case is GameCase.HIGH_B_DIV:
         level = A // K
-        return (lambda: implement_u(U_ODD, level, A, K)), base_dist(U_ODD, level)
+        return (lambda: implement_u(U_ODD, level, A, K)), (lambda: base_dist(U_ODD, level))
     if case is GameCase.HIGH_B_NDIV_EVEN and (A - K) % 2 == 0:
-        return (lambda: build_prop4_A(m, K, A)), lotto_optimal_A(LottoSpec(a, b))
+        return (lambda: build_prop4_A(m, K, A)), (lambda: lotto_optimal_A(LottoSpec(a, b)))
     # The two-point family realizes the strategy that also secures the
     # odd-B value, so it is used for every remaining fractional case.
     point = P1 if 2 * R <= K else P2
-    target = lotto_optimal_A(LottoSpec(a, b, Fraction(1, K)))
-    return (lambda: build_prop5_A(m, K, A, point)), target
+    return (
+        (lambda: build_prop5_A(m, K, A, point)),
+        (lambda: lotto_optimal_A(LottoSpec(a, b, Fraction(1, K)))),
+    )
 
 
 def _defense_plan(spec: GameSpec, case: GameCase):
-    """(builder, target distribution) for the weaker player's matrix."""
+    """(builder, target thunk) for the weaker player's matrix, as in `_attack_plan`."""
     A, B, K = spec.A, spec.B, spec.K
     m, R = spec.m, spec.R
     a, b = Fraction(A, K), Fraction(B, K)
     if case is GameCase.HIGH_B_NDIV_EVEN:
-        return (lambda: build_prop3_B(m, K, B)), lotto_optimal_B(LottoSpec(a, b))
+        return (lambda: build_prop3_B(m, K, B)), (lambda: lotto_optimal_B(LottoSpec(a, b)))
     if case is GameCase.HIGH_B_NDIV_ODD:
-        target = lotto_optimal_B(LottoSpec(a, b, Fraction(1, K)))
+        def target():
+            return lotto_optimal_B(LottoSpec(a, b, Fraction(1, K)))
+
         if 2 * R < K:
             return (lambda: build_prop7_B(m, K, B)), target
         return (lambda: build_prop10_B(m, K, B)), target
@@ -254,27 +262,37 @@ def _defense_plan(spec: GameSpec, case: GameCase):
     level = A // K
     if B % 2 == 0:
         grid = level if B >= 2 * level else level - 1
-        target = mix(
-            [
-                (1 - Fraction(B, K * grid), point_mass(0)),
-                (Fraction(B, K * grid), base_dist(U_EVEN, grid)),
-            ]
-        )
+
+        def target():
+            return mix(
+                [
+                    (1 - Fraction(B, K * grid), point_mass(0)),
+                    (Fraction(B, K * grid), base_dist(U_EVEN, grid)),
+                ]
+            )
+
         return (lambda: build_prop3_B(grid, K, B)), target
     if B == 2 * level - 1:
-        target = lotto_optimal_B(LottoSpec(level, b), uniform_member=True)
-        return (lambda: build_prop6_B(level, K)), target
-    target = mix(
-        [
-            (1 - Fraction(B, K * level), point_mass(0)),
-            (Fraction(1, K), base_dist(U_ODD, level)),
-            (Fraction(B - level, K * level), base_dist(U_EVEN, level)),
-        ]
-    )
+        return (
+            (lambda: build_prop6_B(level, K)),
+            (lambda: lotto_optimal_B(LottoSpec(level, b), uniform_member=True)),
+        )
+
+    def target():
+        return mix(
+            [
+                (1 - Fraction(B, K * level), point_mass(0)),
+                (Fraction(1, K), base_dist(U_ODD, level)),
+                (Fraction(B - level, K * level), base_dist(U_EVEN, level)),
+            ]
+        )
+
     return (lambda: build_prop7_B(level, K, B)), target
 
 
-def _build_side(side: str, spec: GameSpec, builder, target: Dist) -> PartitionMatrix:
+def _build_side(
+    side: str, spec: GameSpec, builder, target: Callable[[], Dist]
+) -> PartitionMatrix:
     budget = spec.A if side == "A" else spec.B
     try:
         return builder()
@@ -285,7 +303,7 @@ def _build_side(side: str, spec: GameSpec, builder, target: Dist) -> PartitionMa
         )
         _log.warning("%s; falling back to direct search", note)
         fallback_events.append(note)
-        found = generic_implement(target, budget, spec.K)
+        found = generic_implement(target(), budget, spec.K)
         if found is None:
             raise
         return found

@@ -11,9 +11,10 @@ independent best-response oracle used to certify the closed forms.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from typing import NamedTuple
 
 from .distributions import (
     Dist,
@@ -168,27 +169,77 @@ def lotto_optimal_B(spec: LottoSpec, uniform_member: bool = False) -> Dist:
     )
 
 
-def _solve_three(
-    points: tuple[int, int, int], budget: Fraction, floor: Fraction
-) -> tuple[Fraction, Fraction, Fraction] | None:
-    """Weights on three points with total 1, mean `budget`, odd-mass `floor`."""
-    i, j, k = points
-    oi, oj, ok = i % 2, j % 2, k % 2
-    det = (
-        (j - i) * (ok - oi)
-        - (k - i) * (oj - oi)
+class _Hull(NamedTuple):
+    """Vertices of an upper concave hull, by increasing x."""
+
+    xs: list[int]
+    ys: list[int]
+
+
+def _upper_hull(gain: list[int], points: range) -> _Hull:
+    """Upper concave hull of (t, gain[t]) for t in the increasing `points`.
+
+    Collinear points are dropped, so consecutive vertices bound its faces.
+    """
+    xs: list[int] = []
+    ys: list[int] = []
+    for x in points:
+        y = gain[x]
+        # Pop the last vertex while it lies on or below the chord to (x, y).
+        while len(xs) >= 2 and (
+            (ys[-1] - ys[-2]) * (x - xs[-2]) <= (y - ys[-2]) * (xs[-1] - xs[-2])
+        ):
+            xs.pop()
+            ys.pop()
+        xs.append(x)
+        ys.append(y)
+    return _Hull(xs, ys)
+
+
+def _hull_value(hull: _Hull, x: Fraction) -> Fraction:
+    """The hull's height at x, for xs[0] <= x <= xs[-1], found by bisection."""
+    xs, ys = hull
+    i = bisect_right(xs, x) - 1
+    if xs[i] == x:
+        return Fraction(ys[i])
+    return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
+
+
+def _floor_binds(
+    gain: list[int], top: int, budget: Fraction, floor: Fraction
+) -> Fraction | None:
+    """Best gain over [0, top] at mean `budget` with odd mass exactly `floor`.
+
+    None when no such distribution exists.  A reply with odd mass c splits
+    into c times an odd-valued reply of mean x and (1 - c) times an
+    even-valued reply of mean y, with c*x + (1 - c)*y = budget; each part is
+    worth its parity hull's height, so the objective is concave and
+    piecewise linear in x and peaks at an end of the feasible interval or at
+    a break: an odd vertex, or the x at which y meets an even vertex.
+    """
+    if floor > 1:
+        return None
+    odd = _upper_hull(gain, range(1, top + 1, 2))
+    if floor == 1:
+        if not odd.xs[0] <= budget <= odd.xs[-1]:
+            return None
+        return _hull_value(odd, budget)
+    even = _upper_hull(gain, range(0, top + 1, 2))
+    rest = 1 - floor
+    low = max(Fraction(odd.xs[0]), (budget - rest * even.xs[-1]) / floor)
+    high = min(Fraction(odd.xs[-1]), (budget - rest * even.xs[0]) / floor)
+    if low > high:
+        return None
+    breaks = {low, high}
+    breaks.update(x for x in odd.xs if low < x < high)
+    for y in even.xs:
+        x = (budget - rest * y) / floor
+        if low < x < high:
+            breaks.add(x)
+    return max(
+        floor * _hull_value(odd, x) + rest * _hull_value(even, (budget - floor * x) / rest)
+        for x in breaks
     )
-    if det == 0:
-        return None
-    # Eliminate w_i via the total, then solve the remaining 2x2 system.
-    rhs_mean = budget - i
-    rhs_odd = floor - oi
-    wj = Fraction(rhs_mean * (ok - oi) - rhs_odd * (k - i), det)
-    wk = Fraction(rhs_odd * (j - i) - rhs_mean * (oj - oi), det)
-    wi = 1 - wj - wk
-    if wi < 0 or wj < 0 or wk < 0:
-        return None
-    return wi, wj, wk
 
 
 def envelope_best_response(
@@ -196,11 +247,20 @@ def envelope_best_response(
 ) -> Rat:
     """Best payoff any mean-`budget` strategy can get against `opponent`.
 
-    Exact maximum of the expected gain over all distributions with the given
-    mean (and, when `odd_floor` is set, odd-value mass at least that floor).
-    The optimum is attained on a support of at most two points, or three when
-    the odd-mass constraint binds, all within one step of the opponent's
-    support range, so those supports are enumerated exhaustively.
+    Exact maximum of the expected gain over all distributions on [0, top]
+    with the given mean (and, when `odd_floor` is set, odd-value mass at
+    least that floor), where top lies one step beyond the opponent's support
+    (two with a floor) and above the budget.  The gain is tabulated in
+    integers, scaled by the LCM of the opponent's denominators, and divided
+    once at the end.  Without a floor the maximum is the height at `budget`
+    of the upper concave hull of (t, gain[t]), met by the two hull vertices
+    around it.  The best value at odd mass s is concave in s, so when that
+    two-point reply's odd mass falls short of the floor c, the constrained
+    optimum has odd mass exactly c, and it is found on the separate hulls of
+    the odd and the even points (see `_floor_binds`).  Building the hulls
+    takes O(top) steps and each of the O(top) breakpoints is evaluated by
+    bisection: O(top log top) in all, in place of the O(top^3) supports of
+    two or three points that an exhaustive search would visit.
     """
     budget = Fraction(budget)
     if budget <= 0:
@@ -213,38 +273,22 @@ def envelope_best_response(
     # Integer counts with the same shape as the opponent, so the table holds
     # scale * g and the optimum is divided by scale once.
     scale = math.lcm(*(weight.denominator for _, weight in opponent.items))
-    gain = gain_table({p: int(w * scale) for p, w in opponent.items}, top)
-    best: Fraction | int | None = None
-
-    def offer(candidate: Fraction | int) -> None:
-        nonlocal best
-        if best is None or candidate > best:
-            best = candidate
-
-    if budget.denominator == 1 and budget <= top:
-        point = int(budget)
-        if odd_floor is None or point % 2 >= odd_floor:
-            offer(gain[point])
-    for i in range(top + 1):
-        if i > budget:
-            break
-        for j in range(i + 1, top + 1):
-            if j < budget:
-                continue
-            weight_j = (budget - i) / (j - i)
-            weight_i = 1 - weight_j
-            if odd_floor is not None:
-                if weight_i * (i % 2) + weight_j * (j % 2) < odd_floor:
-                    continue
-            offer(weight_i * gain[i] + weight_j * gain[j])
-    if odd_floor is not None:
-        for points in combinations(range(top + 1), 3):
-            weights = _solve_three(points, budget, odd_floor)
-            if weights is None:
-                continue
-            offer(sum(w * gain[p] for w, p in zip(weights, points)))
-    if best is None:
-        raise OutOfTheoremScope(
-            f"no feasible strategy with mean {budget} and odd-mass floor {odd_floor}"
-        )
-    return Fraction(best) / scale
+    gain = gain_table(
+        {p: w.numerator * (scale // w.denominator) for p, w in opponent.items}, top
+    )
+    xs, ys = _upper_hull(gain, range(top + 1))
+    i = bisect_right(xs, budget) - 1
+    if xs[i] == budget:
+        best = Fraction(ys[i])
+        odd_mass = Fraction(xs[i] % 2)
+    else:
+        upper = (budget - xs[i]) / (xs[i + 1] - xs[i])
+        best = ys[i] + (ys[i + 1] - ys[i]) * upper
+        odd_mass = (1 - upper) * (xs[i] % 2) + upper * (xs[i + 1] % 2)
+    if odd_floor is not None and odd_mass < odd_floor:
+        best = _floor_binds(gain, top, budget, odd_floor)
+        if best is None:
+            raise OutOfTheoremScope(
+                f"no feasible strategy with mean {budget} and odd-mass floor {odd_floor}"
+            )
+    return best / scale

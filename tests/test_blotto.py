@@ -231,7 +231,7 @@ def test_fallback_rebuilds_from_target():
         raise ConstructionMismatch("synthetic defect")
 
     spec = GameSpec(6, 4, 2)
-    matrix = blotto._build_side("B", spec, broken_builder, target)
+    matrix = blotto._build_side("B", spec, broken_builder, lambda: target)
     assert matrix.to_dist() == target
     assert len(blotto.fallback_events) == len(before) + 1
     assert "B-side" in blotto.fallback_events[-1]
@@ -240,7 +240,7 @@ def test_fallback_rebuilds_from_target():
     # so the direct search comes back empty and the original error wins.
     impossible = base_dist(U_ODD, 2)
     with pytest.raises(ConstructionMismatch):
-        blotto._build_side("B", GameSpec(7, 6, 3), broken_builder, impossible)
+        blotto._build_side("B", GameSpec(7, 6, 3), broken_builder, lambda: impossible)
     blotto.fallback_events[:] = before
 
 

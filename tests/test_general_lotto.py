@@ -5,14 +5,18 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blottokit.distributions import (
     U_EVEN,
     U_ODD,
     Dist,
     base_dist,
+    gain_table,
     mean,
     mix,
     normalized,
@@ -127,6 +131,146 @@ def test_envelope_reply_is_always_a_fraction():
         got = envelope_best_response(opponent, budget, floor)
         assert type(got) is Fraction
         assert got == want
+
+
+def _solve_three(points, budget, floor):
+    """Weights on three points with total 1, mean `budget`, odd-mass `floor`."""
+    i, j, k = points
+    oi, oj, ok = i % 2, j % 2, k % 2
+    det = (j - i) * (ok - oi) - (k - i) * (oj - oi)
+    if det == 0:
+        return None
+    # Eliminate w_i via the total, then solve the remaining 2x2 system.
+    rhs_mean = budget - i
+    rhs_odd = floor - oi
+    wj = Fraction(rhs_mean * (ok - oi) - rhs_odd * (k - i), det)
+    wk = Fraction(rhs_odd * (j - i) - rhs_mean * (oj - oi), det)
+    wi = 1 - wj - wk
+    if wi < 0 or wj < 0 or wk < 0:
+        return None
+    return wi, wj, wk
+
+
+def enumerated_best_response(opponent: Dist, budget, odd_floor=None) -> Fraction:
+    """The O(top^3) oracle: every vertex of the feasible set, one by one.
+
+    The optimum over distributions on [0, top] sits on a support of one or
+    two points, or of three points with odd mass exactly the floor; all of
+    them are tried, in Fraction arithmetic, over the same range and gain
+    table as `envelope_best_response`.
+    """
+    budget = Fraction(budget)
+    if budget <= 0:
+        raise OutOfTheoremScope(f"the oracle needs a positive budget, got {budget}")
+    top = opponent.max_support() + 1
+    if odd_floor is not None:
+        odd_floor = Fraction(odd_floor)
+        top += 1
+    top = max(top, math.floor(budget) + 2)
+    scale = math.lcm(*(weight.denominator for _, weight in opponent.items))
+    gain = gain_table({p: int(w * scale) for p, w in opponent.items}, top)
+    candidates = []
+    if budget.denominator == 1 and (odd_floor is None or int(budget) % 2 >= odd_floor):
+        candidates.append(Fraction(gain[int(budget)]))
+    for i in range(math.floor(budget) + 1):
+        for j in range(max(i + 1, math.ceil(budget)), top + 1):
+            weight_j = (budget - i) / (j - i)
+            weight_i = 1 - weight_j
+            if odd_floor is None or weight_i * (i % 2) + weight_j * (j % 2) >= odd_floor:
+                candidates.append(weight_i * gain[i] + weight_j * gain[j])
+    if odd_floor is not None:
+        for points in combinations(range(top + 1), 3):
+            weights = _solve_three(points, budget, odd_floor)
+            if weights is not None:
+                candidates.append(sum(w * gain[p] for w, p in zip(weights, points)))
+    if not candidates:
+        raise OutOfTheoremScope(
+            f"no feasible strategy with mean {budget} and odd-mass floor {odd_floor}"
+        )
+    return max(candidates) / scale
+
+
+def outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except OutOfTheoremScope:
+        return OutOfTheoremScope
+
+
+floors = st.one_of(
+    st.none(),
+    st.fractions(min_value=-1, max_value=0, max_denominator=6),
+    st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda c: 0 < c < 1),
+    st.just(Fraction(1)),
+    st.fractions(min_value=1, max_value=2, max_denominator=6).filter(lambda c: c > 1),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=14),
+        st.integers(min_value=1, max_value=6),
+        min_size=1,
+        max_size=12,
+    ),
+    st.fractions(min_value=0, max_value=18, max_denominator=7).filter(lambda b: b > 0),
+    floors,
+)
+def test_envelope_matches_enumerated_supports(counts, budget, floor):
+    opponent = normalized(counts)
+    want = outcome(enumerated_best_response, opponent, budget, floor)
+    got = outcome(envelope_best_response, opponent, budget, floor)
+    assert got == want
+    assert type(got) is type(want)
+
+
+def test_envelope_ties_where_the_hull_reply_misses_the_floor():
+    # Against a point mass at 0 every positive value wins, so the hull is
+    # flat from 1 to top and an all-odd reply of mean 8/3 (on 1 and 3)
+    # is as good as any.
+    assert envelope_best_response(point_mass(0), Fraction(8, 3), 1) == 1
+    # Mean 1 with all mass on odd values is the point mass at 1; the hull
+    # passes through (1, -1/2) on its way from 0 to 2.
+    assert envelope_best_response(normalized({1: 2, 4: 2}), 1, 1) == Fraction(-1, 2)
+    for opponent, budget in ((point_mass(0), Fraction(8, 3)), (normalized({1: 2, 4: 2}), 1)):
+        assert envelope_best_response(opponent, budget, 1) == enumerated_best_response(
+            opponent, budget, 1
+        )
+
+
+def test_envelope_binding_floor_peaks_at_either_hulls_vertex():
+    # Against a point mass at 1, the best mean-2 reply with odd mass 1/2
+    # puts its even half on 2, a vertex of the even hull, and splits its odd
+    # half between 1 and 3.
+    assert envelope_best_response(point_mass(1), 2, Fraction(1, 2)) == Fraction(3, 4)
+    # Against {3, 5} the best mean-9/2 reply puts its odd half on 5, a vertex
+    # of the odd hull, and its even half on 0 and 6 at mean 4.
+    pair = normalized({3: 1, 5: 1})
+    assert envelope_best_response(pair, Fraction(9, 2), Fraction(1, 2)) == Fraction(5, 12)
+    half = Fraction(1, 2)
+    for opponent, budget in ((point_mass(1), 2), (pair, Fraction(9, 2))):
+        got = envelope_best_response(opponent, budget, half)
+        assert got < envelope_best_response(opponent, budget)
+        assert got == enumerated_best_response(opponent, budget, half)
+
+
+def test_envelope_floor_edges():
+    thirds = normalized({0: 1, 2: 1, 4: 1})
+    plain = envelope_best_response(thirds, Fraction(5, 2))
+    # A floor at or below zero never binds.
+    assert envelope_best_response(thirds, Fraction(5, 2), 0) == plain
+    assert envelope_best_response(thirds, Fraction(5, 2), -1) == plain
+    # Odd mass above one, or all odd mass at a mean below 1, is infeasible.
+    with pytest.raises(OutOfTheoremScope):
+        envelope_best_response(thirds, Fraction(5, 2), Fraction(3, 2))
+    with pytest.raises(OutOfTheoremScope):
+        envelope_best_response(thirds, Fraction(1, 2), 1)
+    # Odd mass 3/4 needs mean at least 3/4.
+    with pytest.raises(OutOfTheoremScope):
+        envelope_best_response(thirds, Fraction(1, 2), Fraction(3, 4))
+    c = Fraction(3, 4)
+    assert envelope_best_response(thirds, c, c) == enumerated_best_response(thirds, c, c)
 
 
 def test_constrained_increment_uses_smaller_mass_share():
