@@ -92,16 +92,13 @@ def _closed_form_candidates(
                 # parity is a definitive no, so let the builder's error out.
                 yield implement_u(kind, grid, budget, battlefields)
 
-    def prop7(m: int) -> PartitionMatrix:
-        return build_prop7_B(m, battlefields, budget)
-
     builders = [
         lambda m: build_prop3_B(m, battlefields, budget),
         lambda m: build_prop4_A(m, battlefields, budget),
         lambda m: build_prop5_A(m, battlefields, budget, P1),
         lambda m: build_prop5_A(m, battlefields, budget, P2),
         lambda m: build_prop6_B(m, battlefields),
-        prop7,
+        lambda m: build_prop7_B(m, battlefields, budget),
         lambda m: build_prop10_B(m, battlefields, budget),
     ]
     if battlefields == 2:
@@ -112,10 +109,6 @@ def _closed_form_candidates(
     top = target.max_support()
     for m in range(max(top // 2, 1), (top + 1) // 2 + 1):
         for builder in builders:
-            if builder is prop7 and budget == m * battlefields:
-                # At full width the builder has no closed form and would
-                # search; searching is left to --search.
-                continue
             try:
                 yield builder(m)
             except BlottoError:

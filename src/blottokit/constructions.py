@@ -7,8 +7,9 @@ battlefields.  The share of each integer among the L*K entries (the
 normalized cardinality) is the marginal distribution of units on a single
 battlefield.  This module supplies the matrix algebra (composition and
 cardinality counts), closed-form block families covering every solved
-budget regime, and an exhaustive search fallback for the one regime that
-has no closed form.
+budget regime (odd full-width defender budgets B = K*m included, through a
+3-column core of m(m+1) rows), and an exhaustive row search that serves
+only explicit requests, never the solver.
 """
 
 from __future__ import annotations
@@ -1304,8 +1305,36 @@ def _tilde_t_down(m: int, r_t: int) -> list[list[int]]:
     return _collapse("tilde-T", 2 * m + r_t - 1, grouped)
 
 
+def _full_width_rows(m: int) -> list[list[int]]:
+    """The m(m+1) rows (2i+1, 2a, 2b), a + b = m + h - i, of the odd-m core.
+
+    With h = (m-1)/2, each i <= h takes every ordered pair with a, b > h
+    twice, and for k = 0..i/2 the pairs (h-i+k, m-k) and (m-k, h-i+k), twice
+    each or once each when 2k = i.  The rows for i > h are those for i < h
+    under x -> 2m - x.  Each odd entry then appears m+1 times, each even
+    entry in [0, 2m] 2m times.
+    """
+    h = (m - 1) // 2
+    lower: list[list[int]] = []
+    for i in range(h + 1):
+        s = m + h - i
+        for a in range(h + 1, s - h):
+            lower += [[2 * i + 1, 2 * a, 2 * (s - a)]] * 2
+        for k in range(i // 2 + 1):
+            reps = 1 if 2 * k == i else 2
+            lower += [[2 * i + 1, 2 * (h - i + k), 2 * (m - k)]] * reps
+            lower += [[2 * i + 1, 2 * (m - k), 2 * (h - i + k)]] * reps
+    return lower + [[2 * m - x for x in row] for row in lower if row[0] < m]
+
+
 def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
-    """Defender matrix for odd B in (2m, Km]: zero spike plus odd/even grid blend."""
+    """Defender matrix for odd B in (2m, Km]: zero spike plus odd/even grid blend.
+
+    Below full width the core is a tilde-S or tilde-T family; at B = Km (K
+    and m odd, so no zero spike) it is the 3-column `_full_width_rows` core.
+    Either core sits beside copies of E(m), each stacked m times, and zero
+    columns fill the rest.
+    """
     if m < 1 or K < 2:
         raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
     if B % 2 == 0:
@@ -1322,47 +1351,52 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
     )
     L, r = divmod(B, m)
     if L == K:
-        found = generic_implement(target, B, K)
-        if found is None:
-            raise ConstructionMismatch(
-                f"no matrix found for odd budget {B} over {K} battlefields"
-            )
-        matrix = found
+        core = _rows_matrix(
+            f"full-width core({m})",
+            3 * m,
+            3,
+            _full_width_rows(m),
+            m * (m + 1),
+            vec_add(
+                vec_scale(m + 1, base_vector(U_ODD, m)),
+                vec_scale(2 * m, base_vector(U_EVEN, m)),
+            ),
+        )
+        spare = (L - 3) // 2
+    elif L % 2:
+        core = _rows_matrix(
+            f"tilde-S({m},{r})",
+            3 * m + r,
+            4,
+            _tilde_s_down(m, r + 1),
+            m * (m + 1),
+            vec_add(
+                _delta((m - r) * (m + 1)),
+                vec_scale(m + 1, base_vector(U_ODD, m)),
+                vec_scale(2 * m + r, base_vector(U_EVEN, m)),
+            ),
+        )
+        spare = (L - 3) // 2
     else:
-        if L % 2:
-            core = _rows_matrix(
-                f"tilde-S({m},{r})",
-                3 * m + r,
-                4,
-                _tilde_s_down(m, r + 1),
-                m * (m + 1),
-                vec_add(
-                    _delta((m - r) * (m + 1)),
-                    vec_scale(m + 1, base_vector(U_ODD, m)),
-                    vec_scale(2 * m + r, base_vector(U_EVEN, m)),
-                ),
-            )
-            spare = (L - 3) // 2
-        else:
-            core = _rows_matrix(
-                f"tilde-T({m},{r})",
-                2 * m + r,
-                3,
-                _tilde_t_down(m, r + 1),
-                m * (m + 1),
-                vec_add(
-                    _delta((m - r) * (m + 1)),
-                    vec_scale(m + 1, base_vector(U_ODD, m)),
-                    vec_scale(m + r, base_vector(U_EVEN, m)),
-                ),
-            )
-            spare = (L - 2) // 2
-        parts = [core]
-        if spare:
-            parts.append(_stack(_beside(build_EO(E, m), spare), m))
-        if K - L - 1:
-            parts.append(_zeros(m * (m + 1), K - L - 1))
-        matrix = hcat(parts)
+        core = _rows_matrix(
+            f"tilde-T({m},{r})",
+            2 * m + r,
+            3,
+            _tilde_t_down(m, r + 1),
+            m * (m + 1),
+            vec_add(
+                _delta((m - r) * (m + 1)),
+                vec_scale(m + 1, base_vector(U_ODD, m)),
+                vec_scale(m + r, base_vector(U_EVEN, m)),
+            ),
+        )
+        spare = (L - 2) // 2
+    parts = [core]
+    if spare:
+        parts.append(_stack(_beside(build_EO(E, m), spare), m))
+    if L < K - 1:
+        parts.append(_zeros(m * (m + 1), K - L - 1))
+    matrix = hcat(parts)
     _check_target("build_prop7_B", matrix, target)
     return matrix
 
@@ -1490,7 +1524,7 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
     return matrix
 
 
-# --- exhaustive fallback ------------------------------------------------------
+# --- exhaustive search --------------------------------------------------------
 
 
 def _completions(

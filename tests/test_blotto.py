@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from blottokit import blotto
+from blottokit import blotto, constructions
 from blottokit.blotto import (
     EquilibriumReport,
     GameCase,
@@ -34,7 +34,6 @@ from blottokit.distributions import (
 )
 from blottokit.errors import (
     BadWeights,
-    ConstructionMismatch,
     DimensionMismatch,
     OutOfTheoremScope,
     TooLarge,
@@ -223,25 +222,23 @@ def test_sweep_solved_instances_certify():
                 assert report.certificate.secured_by_A == report.value
 
 
-def test_fallback_rebuilds_from_target():
-    target = base_dist(U_EVEN, 2)
-    before = list(blotto.fallback_events)
+def test_odd_full_width_solves_without_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("solve searched")
 
-    def broken_builder():
-        raise ConstructionMismatch("synthetic defect")
-
-    spec = GameSpec(6, 4, 2)
-    matrix = blotto._build_side("B", spec, broken_builder, lambda: target)
-    assert matrix.to_dist() == target
-    assert len(blotto.fallback_events) == len(before) + 1
-    assert "B-side" in blotto.fallback_events[-1]
-
-    # All-odd values cannot tile three battlefields into an even budget,
-    # so the direct search comes back empty and the original error wins.
-    impossible = base_dist(U_ODD, 2)
-    with pytest.raises(ConstructionMismatch):
-        blotto._build_side("B", GameSpec(7, 6, 3), broken_builder, lambda: impossible)
-    blotto.fallback_events[:] = before
+    monkeypatch.setattr(blotto, "generic_implement", no_search)
+    monkeypatch.setattr(constructions, "generic_implement", no_search)
+    for (A, B, K), value in (
+        ((34, 33, 3), Fraction(17, 594)),
+        ((40, 39, 3), Fraction(20, 819)),
+        ((106, 105, 5), Fraction(53, 5775)),
+        ((148, 147, 7), Fraction(74, 11319)),
+    ):
+        report = solve(GameSpec(A, B, K))
+        assert report.case is GameCase.HIGH_B_NDIV_ODD
+        assert report.value == value
+        assert report.certificate.equilibrium
+        assert report.certificate.secured_by_A == value
 
 
 def test_report_json_shape():

@@ -136,21 +136,18 @@ def test_implement_never_searches_without_the_flag(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "generic_implement", no_search)
     monkeypatch.setattr(constructions, "generic_implement", no_search)
-    # Full-width prop7_B targets have no closed form, so they need --search.
-    for weights, c, k in (
-        ({"0": "1/2", "22": "1/2"}, "33", "3"),
-        ({"0": "1/3", "1": "1/3", "2": "1/3"}, "3", "3"),
-    ):
-        dist = json.dumps({"weights": weights})
-        code, _, err = run(capsys, "implement", "--dist", dist, "--c", c, "--k", k)
-        assert code == 1
-        assert err.startswith("UnsolvedCase:") and "--search" in err
-    # A closed-form prop7_B target below full width is still found.
-    target = constructions.build_prop7_B(2, 3, 5).to_dist()
-    dist = json.dumps(dist_to_json(target))
-    code, out, _ = run(capsys, "implement", "--dist", dist, "--c", "5", "--k", "3")
-    assert code == 0
-    assert matrix_from_json(json.loads(out)).to_dist() == target
+    # No named builder realizes this target, so it needs --search.
+    dist = json.dumps({"weights": {"0": "1/2", "22": "1/2"}})
+    code, _, err = run(capsys, "implement", "--dist", dist, "--c", "33", "--k", "3")
+    assert code == 1
+    assert err.startswith("UnsolvedCase:") and "--search" in err
+    # Closed-form prop7_B targets are found, at full width and below it.
+    for m, k, c in ((1, 3, 3), (2, 3, 5), (3, 5, 15)):
+        target = constructions.build_prop7_B(m, k, c).to_dist()
+        dist = json.dumps(dist_to_json(target))
+        code, out, _ = run(capsys, "implement", "--dist", dist, "--c", str(c), "--k", str(k))
+        assert code == 0
+        assert matrix_from_json(json.loads(out)).to_dist() == target
 
 
 def test_implement_rejects_mean_mismatch(capsys):

@@ -1,4 +1,4 @@
-"""Partition-matrix builders, composition operators, and the fallback search."""
+"""Partition-matrix builders, composition operators, and the exhaustive search."""
 
 from __future__ import annotations
 
@@ -360,11 +360,25 @@ def test_generic_implement_row_cap():
 
 
 def test_node_budget_counts_rejected_completions(monkeypatch):
-    # This search generates 17,614 completions, fewer than half of which
-    # pass the row-order bound; the budget must count all of them.
+    # The search for the Prop-7 full-width target at (m, K, B) = (9, 3, 27)
+    # generates 17,614 completions, fewer than half of which pass the
+    # row-order bound; the budget must count all of them.
+    target = mix([(Fraction(1, 3), base_dist(U_ODD, 9)), (Fraction(2, 3), base_dist(U_EVEN, 9))])
     monkeypatch.setattr(constructions, "_NODE_BUDGET", 10_000)
     with pytest.raises(SearchExceeded):
-        build_prop7_B(9, 3, 27)
+        generic_implement(target, 27, 3)
+
+
+def test_prop7_full_width_needs_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("build_prop7_B searched")
+
+    monkeypatch.setattr(constructions, "generic_implement", no_search)
+    for m in range(1, 42, 2):
+        for K in (3, 5, 7, 9):
+            # The builder checks the matrix against its exact target itself.
+            matrix = build_prop7_B(m, K, K * m)
+            assert (matrix.row_count, matrix.battlefields) == (m * (m + 1), K)
 
 
 def test_matrix_json_round_trip():
