@@ -48,6 +48,7 @@ from blottokit.distributions import (
 from blottokit.errors import (
     BadAlpha,
     BadM,
+    ConstructionMismatch,
     DimensionMismatch,
     ExcludedCase,
     InfeasibleParity,
@@ -127,6 +128,33 @@ def test_composition_cardinality_additivity_randomized():
         if left.budget == right.budget:
             stacked = vcat([left, right])
             assert cardinality(stacked) == vec_add(cardinality(left), cardinality(right))
+
+
+def test_check_target_accepts_any_positive_multiple():
+    matrix = build_prop3_B(2, 3, 4)
+    assert cardinality(matrix) == {0: 5, 2: 2, 4: 2}
+    for factor in (1, 2, 7):
+        constructions._check_target("t", matrix, {0: 5 * factor, 2: 2 * factor, 4: 2 * factor})
+    # The matrix's counts may be a multiple of the target's, too.
+    constructions._check_target("t", vcat([matrix] * 3), {0: 5, 2: 2, 4: 2})
+
+
+def test_check_target_ignores_zero_counts():
+    constructions._check_target("t", build_EO(E, 2), {0: 1, 2: 1, 4: 1, 6: 0})
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        {0: 3, 2: 1, 4: 2},  # one unit moved from 2 to 0
+        {0: 2, 2: 2, 4: 2, 6: 1},  # a target point the matrix lacks
+        {0: 2, 2: 2},  # a matrix point the target lacks
+        {1: 2, 2: 2, 4: 2},  # the same shape on another support
+    ],
+)
+def test_check_target_rejects_other_counts(target):
+    with pytest.raises(ConstructionMismatch):
+        constructions._check_target("t", build_EO(E, 2), target)
 
 
 def test_implement_u_even_grid():
