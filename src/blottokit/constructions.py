@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .distributions import (
     Dist,
@@ -101,15 +101,23 @@ def matrix_to_json(matrix: PartitionMatrix) -> dict:
     }
 
 
+def _json_int(value: object, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedJSON(
+            f"partition matrix JSON needs integer {field}, got {value!r}"
+        )
+    return value
+
+
 def matrix_from_json(obj: Mapping) -> PartitionMatrix:
-    """Inverse of matrix_to_json."""
+    """Inverse of matrix_to_json; every number must be a JSON integer."""
     try:
-        budget = int(obj["budget"])
-        battlefields = int(obj["battlefields"])
-        rows = tuple(tuple(int(x) for x in row) for row in obj["rows"])
+        budget = _json_int(obj["budget"], "budget")
+        battlefields = _json_int(obj["battlefields"], "battlefields")
+        rows = tuple(tuple(_json_int(x, "entries") for x in row) for row in obj["rows"])
     except KeyError as exc:
         raise MalformedJSON(f"partition matrix JSON lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise MalformedJSON(f"partition matrix JSON is malformed: {exc}") from None
     return PartitionMatrix(budget, battlefields, rows)
 
@@ -183,9 +191,10 @@ def _vsigma(m: int) -> IntVec:
 #
 # A family is a list of blocks; a block is a named list of parts; a part is a
 # formula row repeated a computed number of times.  Empty index ranges and
-# zero repeat counts contribute no rows.  The odd-budget builders adjust
-# individual entries addressed by block, part and row position, so blocks are
-# materialized into mutable row groups before flattening.
+# zero repeat counts contribute no rows.  The odd-budget cores are even
+# families with one unit moved in every row: with `step` set, `_family_rows`
+# adds it to entry `column(block, part, k, n)`, where k is the row's place in
+# its part and n its place in its block.
 
 
 @dataclass(frozen=True)
@@ -202,68 +211,52 @@ class _Block:
     tag: int = 0
 
 
-_Grouped = list[tuple[str, int, list[tuple[int, list[list[int]]]]]]
+_Column = Callable[[_Block, _Part, int, int], int]
 
 
-def _materialize(blocks: Sequence[_Block]) -> _Grouped:
-    out: _Grouped = []
+def _family_rows(
+    blocks: Sequence[_Block], step: int = 0, column: _Column | None = None
+) -> Iterator[tuple[int, ...]]:
     for block in blocks:
-        groups = []
+        n = 0
         for part in block.parts:
             if part.reps < 0:
                 raise ConstructionMismatch(
                     f"{block.name},{block.tag}: negative repeat count {part.reps}"
                 )
-            groups.append((part.index, [list(part.row) for _ in range(part.reps)]))
-        out.append((block.name, block.tag, groups))
-    return out
-
-
-def _collapse(family: str, budget: int, grouped: _Grouped) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for name, tag, groups in grouped:
-        label = f"{name},{tag}" if tag else name
-        for _, part_rows in groups:
-            for row in part_rows:
-                if min(row, default=0) < 0 or sum(row) != budget:
-                    raise ConstructionMismatch(
-                        f"{family} block {label}: bad row {row} for budget {budget}"
-                    )
-                rows.append(row)
-    return rows
+            row = part.row
+            for k in range(part.reps):
+                if step:
+                    c = column(block, part, k, n)
+                    yield row[:c] + (row[c] + step,) + row[c + 1 :]
+                else:
+                    yield row
+                n += 1
 
 
 def _rows_matrix(
     family: str,
     budget: int,
     width: int,
-    rows: Sequence[Sequence[int]],
+    rows: Iterable[tuple[int, ...]],
     want_rows: int,
     want_counts: IntVec,
 ) -> PartitionMatrix:
+    rows = tuple(rows)
     if len(rows) != want_rows:
         raise ConstructionMismatch(
             f"{family}: produced {len(rows)} rows, expected {want_rows}"
         )
-    matrix = PartitionMatrix(budget, width, tuple(tuple(row) for row in rows))
+    try:
+        matrix = PartitionMatrix(budget, width, rows)
+    except DimensionMismatch as exc:
+        raise ConstructionMismatch(f"{family}: {exc}") from exc
     got = cardinality(matrix)
     if got != want_counts:
         raise ConstructionMismatch(
             f"{family}: cardinality {got} differs from target {want_counts}"
         )
     return matrix
-
-
-def _family_matrix(
-    family: str,
-    budget: int,
-    width: int,
-    blocks: Sequence[_Block],
-    want_rows: int,
-    want_counts: IntVec,
-) -> PartitionMatrix:
-    rows = _collapse(family, budget, _materialize(blocks))
-    return _rows_matrix(family, budget, width, rows, want_rows, want_counts)
 
 
 def _check_target(builder: str, matrix: PartitionMatrix, target: IntVec) -> None:
@@ -316,9 +309,7 @@ def build_EO(kind: str, m: int) -> PartitionMatrix:
     if kind == RO:
         if m < 1 or m % 2 == 0:
             raise BadM(f"RO needs odd m >= 1, got {m}")
-        shifted = [
-            [x + 1 for x in row] for row in build_EO(RE, m - 1).rows
-        ]
+        shifted = (tuple(x + 1 for x in row) for row in build_EO(RE, m - 1).rows)
         return _rows_matrix(
             f"RO({m})", 3 * m, 3, shifted, m, vec_scale(3, base_vector(U_ODD, m))
         )
@@ -516,28 +507,16 @@ def _t_blocks(m: int, r: int) -> list[_Block]:
     return blocks
 
 
-def _s_counts(m: int, r: int) -> IntVec:
-    return vec_add(
-        _delta((m - r) * (m + 1)), vec_scale(3 * m + r, base_vector(U_EVEN, m))
-    )
-
-
-def _t_counts(m: int, r: int) -> IntVec:
-    return vec_add(
-        _delta((m - r) * (m + 1)), vec_scale(2 * m + r, base_vector(U_EVEN, m))
-    )
-
-
-def _s_matrix(m: int, r: int) -> PartitionMatrix:
-    return _family_matrix(
-        f"S({m},{r})", 3 * m + r, 4, _s_blocks(m, r), m * (m + 1), _s_counts(m, r)
-    )
-
-
-def _t_matrix(m: int, r: int) -> PartitionMatrix:
-    return _family_matrix(
-        f"T({m},{r})", 2 * m + r, 3, _t_blocks(m, r), m * (m + 1), _t_counts(m, r)
-    )
+def _defence(
+    core: PartitionMatrix, m: int, spare: int, zero_cols: int
+) -> PartitionMatrix:
+    """The core, `spare` copies of E(m) stacked m times, then `zero_cols` zeros."""
+    parts = [core]
+    if spare:
+        parts.append(_stack(_beside(build_EO(E, m), spare), m))
+    if zero_cols > 0:
+        parts.append(_zeros(m * (m + 1), zero_cols))
+    return hcat(parts)
 
 
 def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
@@ -554,18 +533,19 @@ def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
     elif L % 2 == 0 and r == 0:
         matrix = hcat([_beside(build_EO(E, m), L // 2), _zeros(m + 1, K - L)])
     else:
-        if L % 2:
-            core = _s_matrix(m, r)
-            spare = (L - 3) // 2
-        else:
-            core = _t_matrix(m, r)
-            spare = (L - 2) // 2
-        parts = [core]
-        if spare:
-            parts.append(_stack(_beside(build_EO(E, m), spare), m))
-        if K - L - 1:
-            parts.append(_zeros(m * (m + 1), K - L - 1))
-        matrix = hcat(parts)
+        name, blocks, width = ("S", _s_blocks, 4) if L % 2 else ("T", _t_blocks, 3)
+        budget = (width - 1) * m + r
+        core = _rows_matrix(
+            f"{name}({m},{r})",
+            budget,
+            width,
+            _family_rows(blocks(m, r)),
+            m * (m + 1),
+            vec_add(
+                _delta((m - r) * (m + 1)), vec_scale(budget, base_vector(U_EVEN, m))
+            ),
+        )
+        matrix = _defence(core, m, (L - 2) // 2, K - L - 1)
     target = vec_add(
         _delta((K * m - B) * (m + 1)), vec_scale(B, base_vector(U_EVEN, m))
     )
@@ -677,11 +657,11 @@ def build_prop4_A(m: int, K: int, A: int) -> PartitionMatrix:
         if r // 2:
             parts.append(_beside(odd_next, r // 2))
     elif r % 2:
-        core = _family_matrix(
+        core = _rows_matrix(
             f"R2({m})",
             3 * m + 1,
             3,
-            _r2_blocks(m),
+            _family_rows(_r2_blocks(m)),
             m * (m + 1),
             vec_add(
                 vec_scale(2 * (m + 1), base_vector(U_ODD, m)),
@@ -694,11 +674,11 @@ def build_prop4_A(m: int, K: int, A: int) -> PartitionMatrix:
         if (r - 1) // 2:
             parts.append(_beside(odd_next, (r - 1) // 2))
     else:
-        core = _family_matrix(
+        core = _rows_matrix(
             f"R3({m})",
             3 * m + 2,
             3,
-            _r3_blocks(m),
+            _family_rows(_r3_blocks(m)),
             m * (m + 1),
             vec_add(
                 vec_scale(m + 1, base_vector(U_ODD, m)),
@@ -732,11 +712,11 @@ def _staircase(m: int) -> PartitionMatrix:
             ),
         )
     ]
-    return _family_matrix(
+    return _rows_matrix(
         f"R({m})",
         2 * m + 1,
         2,
-        blocks,
+        _family_rows(blocks),
         m * (m + 1),
         vec_add(_vsigma(m), base_vector(U_ODD, m)),
     )
@@ -863,7 +843,7 @@ def _p1_single_blocks(m: int) -> list[_Block]:
     ]
 
 
-_P1_WIDE_BUMP = {
+_P1_WIDE_COLUMN = {
     "S-I": 1,
     "S-II": 2,
     "S-III": 4,
@@ -873,16 +853,6 @@ _P1_WIDE_BUMP = {
     "S-VII": 1,
     "S-VIII": 1,
 }
-
-def _p1_wide_rows(m: int) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for name, tag, groups in _materialize(_p1_single_blocks(m)):
-        bump = _P1_WIDE_BUMP[name]
-        for _, part_rows in groups:
-            for row in part_rows:
-                row[bump] += 1
-                rows.append(row)
-    return rows
 
 
 def _p1_split_blocks(m: int) -> list[_Block]:
@@ -1132,11 +1102,11 @@ def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
         return hcat(parts)
     if m % 2:
         if K == 2 * r + 1:
-            tied = _family_matrix(
+            tied = _rows_matrix(
                 f"S2({m})",
                 3 * m + 1,
                 3,
-                _p1_tied_blocks(m),
+                _family_rows(_p1_tied_blocks(m)),
                 m * (m + 1),
                 vec_add(_vsigma(m), vec_scale(m + 2, base_vector(U_ODD, m))),
             )
@@ -1144,11 +1114,11 @@ def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
         pad = _odd_pad(m, (K - 3) // 2 - r, m + 1, lead=build_EO(RO, m))
         return hcat([_staircase(m)] * r + [pad])
     if K >= 5 and r == 1:
-        single = _family_matrix(
+        single = _rows_matrix(
             f"S3({m})",
             5 * m + 1,
             5,
-            _p1_single_blocks(m),
+            _family_rows(_p1_single_blocks(m)),
             m * (m + 1),
             vec_add(_vsigma(m), vec_scale(3 * m + 4, base_vector(U_ODD, m))),
         )
@@ -1162,7 +1132,9 @@ def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
             f"T4({m})",
             5 * m + 2,
             5,
-            _p1_wide_rows(m),
+            _family_rows(
+                _p1_single_blocks(m), 1, lambda block, *_: _P1_WIDE_COLUMN[block.name]
+            ),
             m * (m + 1),
             vec_add(
                 vec_scale(2, _vsigma(m)), vec_scale(m + 3, base_vector(U_ODD, m))
@@ -1172,11 +1144,11 @@ def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
         if (K - 1) // 2 - r:
             parts.append(_odd_pad(m, (K - 1) // 2 - r, m + 1))
         return hcat(parts)
-    split = _family_matrix(
+    split = _rows_matrix(
         f"S5({m})",
         3 * m + 1,
         3,
-        _p1_split_blocks(m),
+        _family_rows(_p1_split_blocks(m)),
         m * (m + 1),
         vec_add(_vsigma(m), vec_scale(m + 2, base_vector(U_ODD, m))),
     )
@@ -1193,11 +1165,11 @@ def _p2_matrix(m: int, K: int, r: int) -> PartitionMatrix:
         )
     if m % 2 == 0:
         if K == 2 * r - 1:
-            tied = _family_matrix(
+            tied = _rows_matrix(
                 f"Y2({m})",
                 3 * m + 2,
                 3,
-                _p2_even_blocks(m),
+                _family_rows(_p2_even_blocks(m)),
                 m * (m + 1),
                 vec_add(
                     _vsigma(m),
@@ -1208,11 +1180,11 @@ def _p2_matrix(m: int, K: int, r: int) -> PartitionMatrix:
             return hcat([tied] + [_staircase(m)] * (K - r - 1))
         pad = _odd_pad(m + 1, r - (K + 3) // 2, m, lead=build_EO(RO, m + 1))
         return hcat([_staircase(m)] * (K - r) + [pad])
-    tied = _family_matrix(
+    tied = _rows_matrix(
         f"Y3({m})",
         3 * m + 2,
         3,
-        _p2_odd_blocks(m),
+        _family_rows(_p2_odd_blocks(m)),
         m * (m + 1),
         vec_add(
             _vsigma(m),
@@ -1275,32 +1247,7 @@ def build_prop6_B(m: int, K: int) -> PartitionMatrix:
     return matrix
 
 
-def _tilde_s_down(m: int, r_s: int) -> list[list[int]]:
-    grouped = _materialize(_s_blocks(m, r_s))
-    for _, _, groups in grouped:
-        for _, part_rows in groups:
-            for row in part_rows:
-                row[0] -= 1
-    return _collapse("tilde-S", 3 * m + r_s - 1, grouped)
-
-
-def _tilde_t_down(m: int, r_t: int) -> list[list[int]]:
-    grouped = _materialize(_t_blocks(m, r_t))
-    for name, _, groups in grouped:
-        if name == "T-I":
-            for _, part_rows in groups:
-                for row in part_rows:
-                    row[1] -= 1
-        else:
-            position = 0
-            for _, part_rows in groups:
-                for row in part_rows:
-                    position += 1
-                    row[0 if position % 2 else 1] -= 1
-    return _collapse("tilde-T", 2 * m + r_t - 1, grouped)
-
-
-def _full_width_rows(m: int) -> list[list[int]]:
+def _full_width_rows(m: int) -> list[tuple[int, ...]]:
     """The m(m+1) rows (2i+1, 2a, 2b), a + b = m + h - i, of the odd-m core.
 
     With h = (m-1)/2, each i <= h takes every ordered pair with a, b > h
@@ -1310,25 +1257,28 @@ def _full_width_rows(m: int) -> list[list[int]]:
     entry in [0, 2m] 2m times.
     """
     h = (m - 1) // 2
-    lower: list[list[int]] = []
+    lower: list[tuple[int, ...]] = []
     for i in range(h + 1):
         s = m + h - i
         for a in range(h + 1, s - h):
-            lower += [[2 * i + 1, 2 * a, 2 * (s - a)]] * 2
+            lower += [(2 * i + 1, 2 * a, 2 * (s - a))] * 2
         for k in range(i // 2 + 1):
             reps = 1 if 2 * k == i else 2
-            lower += [[2 * i + 1, 2 * (h - i + k), 2 * (m - k)]] * reps
-            lower += [[2 * i + 1, 2 * (m - k), 2 * (h - i + k)]] * reps
-    return lower + [[2 * m - x for x in row] for row in lower if row[0] < m]
+            lower += [(2 * i + 1, 2 * (h - i + k), 2 * (m - k))] * reps
+            lower += [(2 * i + 1, 2 * (m - k), 2 * (h - i + k))] * reps
+    return lower + [tuple(2 * m - x for x in row) for row in lower if row[0] < m]
+
+
+def _t_down_column(block: _Block, part: _Part, k: int, n: int) -> int:
+    return 1 if block.name == "T-I" else n % 2
 
 
 def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
     """Defender matrix for odd B in (2m, Km]: zero spike plus odd/even grid blend.
 
-    Below full width the core is a tilde-S or tilde-T family; at B = Km (K
-    and m odd, so no zero spike) it is the 3-column `_full_width_rows` core.
-    Either core sits beside copies of E(m), each stacked m times, and zero
-    columns fill the rest.
+    Below full width the core is S or T with one unit taken from every row
+    (tilde-S, tilde-T); at B = Km (K and m odd, so no zero spike) it is the
+    3-column `_full_width_rows` core.
     """
     if m < 1 or K < 2:
         raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
@@ -1349,41 +1299,25 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
                 vec_scale(2 * m, base_vector(U_EVEN, m)),
             ),
         )
-        spare = (L - 3) // 2
-    elif L % 2:
-        core = _rows_matrix(
-            f"tilde-S({m},{r})",
-            3 * m + r,
-            4,
-            _tilde_s_down(m, r + 1),
-            m * (m + 1),
-            vec_add(
-                _delta((m - r) * (m + 1)),
-                vec_scale(m + 1, base_vector(U_ODD, m)),
-                vec_scale(2 * m + r, base_vector(U_EVEN, m)),
-            ),
-        )
-        spare = (L - 3) // 2
     else:
+        if L % 2:
+            name, blocks, width, column = "S", _s_blocks, 4, lambda *_: 0
+        else:
+            name, blocks, width, column = "T", _t_blocks, 3, _t_down_column
+        budget = (width - 1) * m + r
         core = _rows_matrix(
-            f"tilde-T({m},{r})",
-            2 * m + r,
-            3,
-            _tilde_t_down(m, r + 1),
+            f"tilde-{name}({m},{r})",
+            budget,
+            width,
+            _family_rows(blocks(m, r + 1), -1, column),
             m * (m + 1),
             vec_add(
                 _delta((m - r) * (m + 1)),
                 vec_scale(m + 1, base_vector(U_ODD, m)),
-                vec_scale(m + r, base_vector(U_EVEN, m)),
+                vec_scale(budget - m, base_vector(U_EVEN, m)),
             ),
         )
-        spare = (L - 2) // 2
-    parts = [core]
-    if spare:
-        parts.append(_stack(_beside(build_EO(E, m), spare), m))
-    if L < K - 1:
-        parts.append(_zeros(m * (m + 1), K - L - 1))
-    matrix = hcat(parts)
+    matrix = _defence(core, m, (L - 2) // 2, K - L - 1)
     target = vec_add(
         _delta((K * m - B) * (m + 1)),
         vec_scale(m + 1, base_vector(U_ODD, m)),
@@ -1393,71 +1327,47 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
     return matrix
 
 
-def _tilde_s_up(m: int, r: int) -> list[list[int]]:
-    grouped = _materialize(_s_blocks(m, r))
-    for name, tag, groups in grouped:
-        if name == "S-I":
-            for index, part_rows in groups:
-                if len(part_rows) != 2:
-                    raise ConstructionMismatch(
-                        f"S-I part {index}: expected 2 rows, got {len(part_rows)}"
-                    )
-                part_rows[0][0] += 1
-                part_rows[1][2] += 1
-        elif name == "S-IV":
-            for _, part_rows in groups:
-                part_rows[0][2] += 1
-                for row in part_rows[1:]:
-                    row[0] += 1
-        else:
-            for _, part_rows in groups:
-                for row in part_rows:
-                    row[0] += 1
-    return _collapse("tilde-S", 3 * m + r + 1, grouped)
+def _s_up_column(block: _Block, part: _Part, k: int, n: int) -> int:
+    if block.name == "S-I":
+        if part.reps != 2:
+            raise ConstructionMismatch(
+                f"S-I part {part.index}: expected 2 rows, got {part.reps}"
+            )
+        return 2 * k
+    if block.name == "S-IV":
+        return 2 if k == 0 else 0
+    return 0
 
 
-def _tilde_t_up(m: int, r: int) -> list[list[int]]:
-    grouped = _materialize(_t_blocks(m, r))
+def _t_up_column(m: int, r: int) -> _Column:
     half = r // 2
-    for name, tag, groups in grouped:
-        if name == "T-I":
-            for index, part_rows in groups:
-                if 1 <= index <= half - 1:
-                    if len(part_rows) < 2:
-                        raise ConstructionMismatch(
-                            f"T-I part {index}: needs 2 rows for the increment rule"
-                        )
-                    part_rows[0][0] += 1
-                    part_rows[1][0] += 1
-                    for row in part_rows[2:]:
-                        row[1] += 1
-                elif index == 0 or half <= index <= m - half:
-                    part_rows[0][0] += 1
-                    for row in part_rows[1:]:
-                        row[1] += 1
-                else:
-                    raise ConstructionMismatch(
-                        f"T-I part {index}: outside both increment rules"
-                    )
-        elif name == "T-II":
-            for index, part_rows in groups:
-                if index == tag:
-                    for row in part_rows:
-                        row[1] += 1
-                else:
-                    part_rows[0][0] += 1
-                    part_rows[1][1] += 1
-        else:
-            position = 0
-            for _, part_rows in groups:
-                for row in part_rows:
-                    position += 1
-                    row[0 if position % 2 else 1] += 1
-    return _collapse("tilde-T", 2 * m + r + 1, grouped)
+
+    def column(block: _Block, part: _Part, k: int, n: int) -> int:
+        if block.name == "T-II":
+            return 1 if part.index == block.tag else k
+        if block.name != "T-I":
+            return n % 2
+        if 1 <= part.index <= half - 1:
+            if part.reps < 2:
+                raise ConstructionMismatch(
+                    f"T-I part {part.index}: needs 2 rows for the increment rule"
+                )
+            return 0 if k < 2 else 1
+        if part.index == 0 or half <= part.index <= m - half:
+            return 0 if k == 0 else 1
+        raise ConstructionMismatch(
+            f"T-I part {part.index}: outside both increment rules"
+        )
+
+    return column
 
 
 def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
-    """Defender matrix for odd B in [2m+1, Km]: zero spike plus enlarged odd grid."""
+    """Defender matrix for odd B in [2m+1, Km]: zero spike plus enlarged odd grid.
+
+    The core is S or T with one unit added to every row (tilde-S, tilde-T);
+    at B - 1 = Lm with L even it is m copies of the rows (0, 2i+1, 2m-2i).
+    """
     if m < 1 or K < 2:
         raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
     if B % 2 == 0:
@@ -1466,44 +1376,27 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
         raise InfeasibleRange(f"budget {B} outside [{2 * m + 1}, {K * m}]")
     base = B - 1
     L, r = divmod(base, m)
-    counts = vec_add(
-        _delta((m - r) * (m + 1)),
-        vec_scale(m, base_vector(U_ODD, m + 1)),
-        vec_scale(m + r, base_vector(U_EVEN, m)),
-    )
+    name, width = ("S", 4) if L % 2 else ("T", 3)
     if L % 2:
-        core = _rows_matrix(
-            f"tilde-S({m},{r})",
-            3 * m + r + 1,
-            4,
-            _tilde_s_up(m, r),
-            m * (m + 1),
-            vec_add(
-                _delta((m - r) * (m + 1)),
-                vec_scale(m, base_vector(U_ODD, m + 1)),
-                vec_scale(2 * m + r, base_vector(U_EVEN, m)),
-            ),
-        )
-        spare = (L - 3) // 2
+        rows = _family_rows(_s_blocks(m, r), 1, _s_up_column)
+    elif r:
+        rows = _family_rows(_t_blocks(m, r), 1, _t_up_column(m, r))
     else:
-        if r == 0:
-            rows = [
-                [0, 2 * i + 1, 2 * m - 2 * i]
-                for _ in range(m)
-                for i in range(m + 1)
-            ]
-        else:
-            rows = _tilde_t_up(m, r)
-        core = _rows_matrix(
-            f"tilde-T({m},{r})", 2 * m + r + 1, 3, rows, m * (m + 1), counts
-        )
-        spare = (L - 2) // 2
-    parts = [core]
-    if spare:
-        parts.append(_stack(_beside(build_EO(E, m), spare), m))
-    if K - L - 1:
-        parts.append(_zeros(m * (m + 1), K - L - 1))
-    matrix = hcat(parts)
+        rows = [(0, 2 * i + 1, 2 * m - 2 * i) for _ in range(m) for i in range(m + 1)]
+    budget = (width - 1) * m + r + 1
+    core = _rows_matrix(
+        f"tilde-{name}({m},{r})",
+        budget,
+        width,
+        rows,
+        m * (m + 1),
+        vec_add(
+            _delta((m - r) * (m + 1)),
+            vec_scale(m, base_vector(U_ODD, m + 1)),
+            vec_scale(budget - 1 - m, base_vector(U_EVEN, m)),
+        ),
+    )
+    matrix = _defence(core, m, (L - 2) // 2, K - L - 1)
     target = vec_add(
         _delta((K * m - base) * (m + 1)),
         vec_scale(m, base_vector(U_ODD, m + 1)),

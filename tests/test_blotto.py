@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,7 +24,7 @@ from blottokit.blotto import (
     solve,
     symmetrize,
 )
-from blottokit.constructions import PartitionMatrix, build_EO, E
+from blottokit.constructions import PartitionMatrix, build_EO, E, matrix_to_json
 from blottokit.distributions import (
     U_EVEN,
     U_ODD,
@@ -40,6 +42,7 @@ from blottokit.errors import (
     UnsolvedCase,
 )
 from blottokit.general_lotto import LottoSpec, lotto_value
+from test_acceptance import feasible_builds
 
 
 def rows_multiset(matrix: PartitionMatrix) -> Counter:
@@ -220,6 +223,42 @@ def test_sweep_solved_instances_certify():
                 report = solve(spec)
                 assert report.certificate.equilibrium
                 assert report.certificate.secured_by_A == report.value
+
+
+def test_solve_json_bytes_are_pinned():
+    """Every solved instance with K <= 6, A <= 30 (the sweep grid), byte for byte."""
+    digest = hashlib.sha256()
+    solved = 0
+    for K in range(2, 7):
+        for A in range(K + 1, 31):
+            for B in range(1, A):
+                spec = GameSpec(A, B, K)
+                if is_solved(classify(spec)):
+                    blob = json.dumps(report_to_json(solve(spec)), sort_keys=True)
+                    digest.update((blob + "\n").encode())
+                    solved += 1
+    assert solved == 1504
+    assert (
+        digest.hexdigest()
+        == "880e3613309804bc9647deffdccb4d892fb0b1d2d051697bff751977f2c7f07b"
+    )
+
+
+def test_builder_matrix_bytes_are_pinned():
+    """Every criterion-3 build over m <= 8, K <= 7, the S5 core at m = 8 included."""
+    digest = hashlib.sha256()
+    built = 0
+    for m in range(1, 9):
+        for K in range(2, 8):
+            for _, matrix, _, _ in feasible_builds(m, K):
+                blob = json.dumps(matrix_to_json(matrix), sort_keys=True)
+                digest.update((blob + "\n").encode())
+                built += 1
+    assert built == 1221
+    assert (
+        digest.hexdigest()
+        == "a94a43178c3640b11075d7058e859dfb25199df842e628201d75edc6e6d1c8e9"
+    )
 
 
 def test_odd_full_width_solves_without_search(monkeypatch):

@@ -94,6 +94,25 @@ def test_verify_rejects_matrix_without_battlefields(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_verify_rejects_non_integer_matrix_entries(capsys, tmp_path):
+    stored = tmp_path / "strategies.json"
+    stored.write_text(
+        json.dumps(
+            {
+                "A": {"budget": 3, "battlefields": 2, "rows": [[1.5, 2.5], [2.9, 1]]},
+                "B": {"budget": 1, "battlefields": 2, "rows": [[True, 0], ["0", 1.7]]},
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys, "verify", "--a", "3", "--b", "1", "--k", "2", "--strategies", str(stored)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedJSON:") and "1.5" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "dist",
     [{"foo": 1}, {"weights": {"0": "x"}}],

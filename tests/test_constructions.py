@@ -53,6 +53,7 @@ from blottokit.errors import (
     ExcludedCase,
     InfeasibleParity,
     InfeasibleRange,
+    MalformedJSON,
     MeanMismatch,
     SearchExceeded,
 )
@@ -415,3 +416,78 @@ def test_matrix_json_round_trip():
     assert blob["budget"] == 4
     assert blob["battlefields"] == 3
     assert matrix_from_json(blob).rows == matrix.rows
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"budget": 3.0, "battlefields": 2, "rows": [[1, 2]]},
+        {"budget": 3, "battlefields": True, "rows": [[3]]},
+        {"budget": 3, "battlefields": "2", "rows": [[1, 2]]},
+        {"budget": 3, "battlefields": 2, "rows": [[1.5, 1.5]]},
+        {"budget": 3, "battlefields": 2, "rows": [[2.9, 1]]},
+        {"budget": 1, "battlefields": 2, "rows": [[True, 0]]},
+        {"budget": 1, "battlefields": 2, "rows": [["0", 1]]},
+        {"budget": 1, "battlefields": 2, "rows": ["01"]},
+    ],
+    ids=[
+        "float-budget",
+        "bool-width",
+        "string-width",
+        "float-entries",
+        "truncatable-float",
+        "bool-entry",
+        "numeric-string-entry",
+        "string-row",
+    ],
+)
+def test_matrix_from_json_accepts_only_integers(blob):
+    with pytest.raises(MalformedJSON):
+        matrix_from_json(blob)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((1, 2, 0), (4, -1, 0)), ((1, 2, 0), (1, 1, 0))],
+    ids=["negative-entry", "wrong-sum"],
+)
+def test_bad_core_row_raises_construction_mismatch(rows):
+    with pytest.raises(ConstructionMismatch, match=r"^tilde-T\(2,1\): row "):
+        constructions._rows_matrix("tilde-T(2,1)", 3, 3, rows, 2, {})
+
+
+def test_negative_repeat_count_raises_construction_mismatch():
+    blocks = [
+        constructions._Block(
+            "T-II",
+            (constructions._Part(0, (1, 2), 1), constructions._Part(1, (3, 0), -1)),
+            tag=2,
+        )
+    ]
+    with pytest.raises(ConstructionMismatch, match="T-II,2: negative repeat count -1"):
+        list(constructions._family_rows(blocks))
+    with pytest.raises(ConstructionMismatch, match="negative repeat count"):
+        list(constructions._family_rows(blocks, 1, lambda *_: 0))
+
+
+def test_family_rows_moves_the_chosen_entry_of_every_row():
+    blocks = [
+        constructions._Block(
+            "X", (constructions._Part(0, (4, 4), 2), constructions._Part(1, (6, 2), 1))
+        ),
+        constructions._Block("Y", (constructions._Part(0, (2, 6), 3),)),
+    ]
+    places = []
+
+    def column(block, part, k, n):
+        places.append((block.name, part.index, k, n))
+        return n % 2
+
+    rows = list(constructions._family_rows(blocks, -1, column))
+    assert rows == [(3, 4), (4, 3), (5, 2), (1, 6), (2, 5), (1, 6)]
+    assert places == [
+        ("X", 0, 0, 0), ("X", 0, 1, 1), ("X", 1, 0, 2),
+        ("Y", 0, 0, 0), ("Y", 0, 1, 1), ("Y", 0, 2, 2),
+    ]
+    unmoved = [(4, 4), (4, 4), (6, 2), (2, 6), (2, 6), (2, 6)]
+    assert list(constructions._family_rows(blocks)) == unmoved
