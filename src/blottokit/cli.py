@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Iterator
@@ -54,14 +53,37 @@ def _json_arg(text: str) -> dict:
     return obj
 
 
-_FLAT_LIST = re.compile(r"\[\s+(-?\d+(?:,\s+-?\d+)*)\s+\]")
+def _encode(value: object, newline: str, out: list[str]) -> None:
+    # The layout of json.dumps(indent=2), written here because indent makes
+    # json fall back to its pure-Python encoder.  Keys are strings.
+    if isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out.append(separator + json.dumps(key) + ": ")
+            _encode(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list) and value and set(map(type, value)) == {int}:
+        out.append("[" + ", ".join(map(str, value)) + "]")
+    elif isinstance(value, list) and value:
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _encode(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _emit(payload: object) -> None:
-    # Indented JSON, but with innermost integer lists (matrix rows) kept on
-    # one line so partition matrices stay readable.
-    text = json.dumps(payload, indent=2)
-    print(_FLAT_LIST.sub(lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", text))
+    # Indented JSON, but with every list of plain ints (a matrix row) on one
+    # line so partition matrices stay readable.
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    print("".join(out))
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:

@@ -76,7 +76,7 @@ class PartitionMatrix:
                 raise DimensionMismatch(
                     f"row {row} has {len(row)} entries, expected {self.battlefields}"
                 )
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise DimensionMismatch(f"row {row} has a negative entry")
             if sum(row) != self.budget:
                 raise DimensionMismatch(

@@ -45,7 +45,10 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
     opponent's L*K entries, with one division at the end.  The gain is
     non-decreasing and flat above the opponent's largest entry s, so
     spending exactly the budget is worth as much as spending at most it,
-    and no battlefield needs more than s + 1 units: the program runs in
+    and no battlefield needs more than s + 1 units.  Layer j (j = 0 for the
+    first battlefield) fills only the cells within (K - 1 - j) * cap of the
+    budget, where cap = min(budget, s + 1), and the last layer fills the one
+    cell at the budget: the program runs in at most
     O(K * budget * min(budget, s + 1)) integer steps.
     """
     if opponent.battlefields != K:
@@ -59,17 +62,27 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
     counts = cardinality(opponent)
     cap = min(budget, max(counts) + 1)
     gain = gain_table(counts, cap)
-    # best[c]: largest scaled gain on the battlefields so far with at most c
-    # units.  With h = min(c, cap), descending[cap - h:] is gain[h], ..., gain[0]
-    # and lines up each placement t with best[c - t].
+    # best[c - low]: largest scaled gain on the battlefields so far with at
+    # most c units.  With r battlefields still to place, only the cells
+    # c >= low = budget - r * cap can reach the budget, so the last layer is
+    # the single cell c = budget.  With h = min(c, cap), descending[cap - h:]
+    # is gain[h], ..., gain[0] and lines up each placement t with cell c - t.
     descending = gain[::-1]
-    best = [gain[min(c, cap)] for c in range(budget + 1)]
-    for _ in range(K - 1):
+    low = max(budget - (K - 1) * cap, 0)
+    best = [gain[min(c, cap)] for c in range(low, budget + 1)]
+    for r in range(K - 2, -1, -1):
+        shift, low = low, max(budget - r * cap, 0)
         best = [
-            max(map(add, descending[max(cap - c, 0) :], best[max(c - cap, 0) : c + 1]))
-            for c in range(budget + 1)
+            max(
+                map(
+                    add,
+                    descending[max(cap - c, 0) :],
+                    best[max(c - cap, 0) - shift : c + 1 - shift],
+                )
+            )
+            for c in range(low, budget + 1)
         ]
-    return Fraction(best[budget], opponent.row_count * K * K)
+    return Fraction(best[-1], opponent.row_count * K * K)
 
 
 def certify(

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from blottokit import cli, constructions
-from blottokit.blotto import GameSpec, solve
+from blottokit.blotto import GameSpec, classify, is_solved, solve
 from blottokit.cli import main
-from blottokit.constructions import matrix_from_json, matrix_to_json
+from blottokit.constructions import (
+    E,
+    PartitionMatrix,
+    build_EO,
+    matrix_from_json,
+    matrix_to_json,
+)
 from blottokit.distributions import dist_from_json, dist_to_json
 
 
@@ -42,6 +51,105 @@ def test_solve_emits_full_report(capsys):
     report = solve(GameSpec(7, 6, 2))
     assert matrix_from_json(blob["A"]) == report.strategy_A
     assert matrix_from_json(blob["B"]) == report.strategy_B
+
+
+def test_cli_stdout_bytes_are_pinned(capsys, tmp_path):
+    """`solve` on every solved instance with K <= 5, A <= 20, then `verify` and
+    `implement` outputs (a false and a true flag, nested dicts), byte for byte."""
+    digest = hashlib.sha256()
+    solved = 0
+    for K in range(2, 6):
+        for A in range(K + 1, 21):
+            for B in range(1, A):
+                if is_solved(classify(GameSpec(A, B, K))):
+                    argv = ("solve", "--a", str(A), "--b", str(B), "--k", str(K))
+                    code, out, _ = run(capsys, *argv)
+                    assert code == 0
+                    digest.update(out.encode())
+                    solved += 1
+    stacked = tmp_path / "stacked.json"
+    stacked.write_text(
+        json.dumps(
+            {
+                "A": matrix_to_json(PartitionMatrix(7, 2, ((7, 0),))),
+                "B": matrix_to_json(build_EO(E, 3)),
+            }
+        ),
+        encoding="utf-8",
+    )
+    outputs = [
+        run(capsys, "verify", "--a", "7", "--b", "6", "--k", "2", "--strategies", str(stacked)),
+        run(capsys, "verify", "--a", "13", "--b", "8", "--k", "4"),
+    ]
+    for weights, c, k, *flags in (
+        ({"0": "1/3", "2": "1/3", "4": "1/3"}, 4, 2),
+        ({"0": "1/2", "4": "1/2"}, 4, 2, "--search"),
+        ({"0": "1/3", "1": "1/6", "2": "1/6", "3": "1/6", "4": "1/6"}, 5, 3),
+    ):
+        dist = json.dumps({"weights": weights})
+        outputs.append(
+            run(capsys, "implement", "--dist", dist, "--c", str(c), "--k", str(k), *flags)
+        )
+    for code, out, _ in outputs:
+        assert code == 0
+        digest.update(out.encode())
+    assert solved == 513
+    assert (
+        digest.hexdigest()
+        == "1d038be72ede7c1973a14471b0c1451148bca07e459a6751926aec66ce79e79b"
+    )
+
+
+def test_emit_keeps_the_indented_layout_on_edge_payloads(capsys):
+    # Payloads no verb prints today: negative and empty rows, an empty dict,
+    # and a list of non-integers, which stays one item per line.
+    cli._emit({"rows": [[-1, 2], []], "empty": {}, "flags": [True, 1.5, None], "name": "é"})
+    assert capsys.readouterr().out == (
+        '{\n  "rows": [\n    [-1, 2],\n    []\n  ],\n  "empty": {},\n'
+        '  "flags": [\n    true,\n    1.5,\n    null\n  ],\n  "name": "\\u00e9"\n}\n'
+    )
+
+
+def readme_cli_examples() -> list[tuple[str, str]]:
+    """Each `$ blottokit ...` line in README.md with the output printed under it."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples: list[tuple[str, list[str]]] = []
+    output: list[str] | None = None  # the open example's lines, inside a fence
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            output = None
+        elif line.startswith("$ blottokit "):
+            output = []
+            examples.append((line[len("$ blottokit ") :], output))
+        elif output is not None:
+            output.append(line)
+    return [(command, "\n".join(lines).rstrip("\n") + "\n") for command, lines in examples]
+
+
+def test_readme_cli_examples_match_the_program(capsys, tmp_path, monkeypatch):
+    # The examples name relative files; run them in a scratch directory, with
+    # the strategies file holding the (7, 2, 3) equilibrium they verify.
+    monkeypatch.chdir(tmp_path)
+    report = solve(GameSpec(7, 2, 3))
+    (tmp_path / "strategies.json").write_text(
+        json.dumps(
+            {"A": matrix_to_json(report.strategy_A), "B": matrix_to_json(report.strategy_B)}
+        ),
+        encoding="utf-8",
+    )
+    examples = readme_cli_examples()
+    assert [command.split()[0] for command, _ in examples] == [
+        "value",
+        "classify",
+        "solve",
+        "verify",
+        "lotto-value",
+        "implement",
+        "sweep",
+    ]
+    for command, expected in examples:
+        assert run(capsys, *shlex.split(command)) == (0, expected, ""), command
+    assert (tmp_path / "sweep.csv").is_file()
 
 
 def test_verify_round_trips_stored_strategies(capsys, tmp_path):

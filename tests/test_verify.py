@@ -57,7 +57,7 @@ def uncapped_reply_value(opponent: PartitionMatrix, budget: int, K: int) -> Frac
 
 @st.composite
 def opponents_and_budgets(draw):
-    K = draw(st.integers(min_value=2, max_value=4))
+    K = draw(st.integers(min_value=2, max_value=6))
     total = draw(st.integers(min_value=0, max_value=8))
     rows = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -77,6 +77,44 @@ def test_capped_integer_dp_matches_uncapped_fraction_dp(case):
     got = best_response_value(opponent, budget, K)
     assert type(got) is Fraction
     assert got == uncapped_reply_value(opponent, budget, K)
+
+
+def ordered_partitions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in ordered_partitions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def enumerated_reply_value(opponent: PartitionMatrix, budget: int, K: int) -> Fraction:
+    """Best reply over every ordered K-partition of the budget, each battlefield
+    scored against every opponent entry (uniform rows, uniform matching)."""
+    entries = [x for row in opponent.rows for x in row]
+    gain = [sum((t > x) - (t < x) for x in entries) for t in range(budget + 1)]
+    best = max(sum(map(gain.__getitem__, reply)) for reply in ordered_partitions(budget, K))
+    return Fraction(best, opponent.row_count * K * K)
+
+
+def test_trimmed_dp_matches_enumerated_replies():
+    # Budgets up to 3K against opponents with entries up to 6 cover the
+    # uncapped case (budget <= cap) and the case where even the first layer is
+    # trimmed (budget > (K - 1) * cap), on K = 2 up to 6 battlefields.
+    rng = random.Random(41)
+    covered = {"K = 2": False, "budget <= cap": False, "budget > (K - 1) * cap": False}
+    for K in range(2, 7):
+        for _ in range(3):
+            opponent = random_matrix(rng, rng.randint(0, 6), K)
+            largest = max(max(row) for row in opponent.rows)
+            for budget in range(3 * K + 1):
+                cap = min(budget, largest + 1)
+                covered["K = 2"] |= K == 2
+                covered["budget <= cap"] |= budget <= cap
+                covered["budget > (K - 1) * cap"] |= budget > (K - 1) * cap
+                got = best_response_value(opponent, budget, K)
+                assert got == enumerated_reply_value(opponent, budget, K), (opponent, budget)
+    assert all(covered.values()), covered
 
 
 def test_best_response_reproduces_game_value():
