@@ -30,7 +30,14 @@ from .constructions import (
     matrix_to_json,
 )
 from .distributions import U_EVEN, U_ODD, Dist, base_dist, dist_from_json, mean
-from .errors import BlottoError, DimensionMismatch, InfeasibleRange, MeanMismatch, UnsolvedCase
+from .errors import (
+    BlottoError,
+    DimensionMismatch,
+    InfeasibleRange,
+    MalformedJSON,
+    MeanMismatch,
+    UnsolvedCase,
+)
 from .exactmath import Rat, format_rat, parse_rat
 from .general_lotto import LottoSpec, lotto_value
 from .verify import certify, rows_to_csv
@@ -46,7 +53,8 @@ def _rat_arg(text: str) -> Rat:
 def _json_arg(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json's decoder recurses once per nesting level.
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise argparse.ArgumentTypeError("distribution JSON must be an object")
@@ -178,8 +186,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_verify(args: argparse.Namespace) -> None:
     spec = GameSpec(args.a, args.b, args.k)
     if args.strategies is not None:
-        with open(args.strategies, encoding="utf-8") as handle:
-            payload = json.load(handle)
+        try:
+            with open(args.strategies, encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise MalformedJSON(f"cannot read strategies file as JSON: {exc}") from None
         if not isinstance(payload, dict) or "A" not in payload or "B" not in payload:
             raise DimensionMismatch(
                 "strategies file must hold partition matrices under keys 'A' and 'B'"

@@ -166,16 +166,15 @@ def vcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
     )
 
 
-def _beside(matrix: PartitionMatrix, copies: int) -> PartitionMatrix:
-    return hcat([matrix] * copies)
+def _grids(kind: str, m: int, height: int, copies: int) -> list[PartitionMatrix]:
+    """`copies` references to the grid matrix of `kind` and size m with its rows
+    repeated `height` times; none, and nothing built, when copies <= 0."""
+    return [vcat([build_EO(kind, m)] * height)] * copies if copies > 0 else []
 
 
-def _stack(matrix: PartitionMatrix, copies: int) -> PartitionMatrix:
-    return vcat([matrix] * copies)
-
-
-def _zeros(height: int, width: int) -> PartitionMatrix:
-    return PartitionMatrix(0, width, ((0,) * width,) * height)
+def _zeros(height: int, width: int) -> list[PartitionMatrix]:
+    """A block of zeros `width` columns wide; none when width <= 0."""
+    return [PartitionMatrix(0, width, ((0,) * width,) * height)] if width > 0 else []
 
 
 def _delta(count: int) -> IntVec:
@@ -187,7 +186,72 @@ def _vsigma(m: int) -> IntVec:
     return vec_add(*(base_vector(V, m, j) for j in range(1, m + 1)))
 
 
+# --- proposition targets ------------------------------------------------------
+#
+# Each proposition's target, written once: the entry counts of an m(m+1)-row
+# matrix with K columns and row budget `budget`, where r = budget - Km for
+# the attacker.
+
+
+def _prop3_counts(m: int, K: int, budget: int) -> IntVec:
+    """Zero spike blended with the even grid (even defender budgets)."""
+    return vec_add(
+        _delta((K * m - budget) * (m + 1)), vec_scale(budget, base_vector(U_EVEN, m))
+    )
+
+
+def _prop4_counts(m: int, K: int, budget: int) -> IntVec:
+    """Odd grids of sizes m and m + 1 in the ratio K - r to r."""
+    r = budget - K * m
+    return vec_add(
+        vec_scale((K - r) * (m + 1), base_vector(U_ODD, m)),
+        vec_scale(r * m, base_vector(U_ODD, m + 1)),
+    )
+
+
+def _prop5_counts(m: int, K: int, budget: int) -> IntVec:
+    """Spike-sum and odd grids: point P1 when 2r <= K, P2 otherwise."""
+    r = budget - K * m
+    if 2 * r <= K:
+        return vec_add(
+            vec_scale(r, _vsigma(m)),
+            vec_scale(K * (m + 1) - r * (2 * m + 1), base_vector(U_ODD, m)),
+        )
+    return vec_add(
+        vec_scale(K - r, vec_add(_vsigma(m), base_vector(U_ODD, m))),
+        vec_scale((2 * r - K) * m, base_vector(U_ODD, m + 1)),
+    )
+
+
+def _prop7_counts(m: int, K: int, budget: int) -> IntVec:
+    """Zero spike, odd grid and even grid (odd defender budgets, 2r < K)."""
+    return vec_add(
+        _delta((K * m - budget) * (m + 1)),
+        vec_scale(m + 1, base_vector(U_ODD, m)),
+        vec_scale(budget - m, base_vector(U_EVEN, m)),
+    )
+
+
+def _prop10_counts(m: int, K: int, budget: int) -> IntVec:
+    """Zero spike, enlarged odd grid and even grid (odd defender budgets, 2r >= K)."""
+    base = budget - 1
+    return vec_add(
+        _delta((K * m - base) * (m + 1)),
+        vec_scale(m, base_vector(U_ODD, m + 1)),
+        vec_scale(base - m, base_vector(U_EVEN, m)),
+    )
+
+
 # --- block machinery -------------------------------------------------------
+#
+# Every matrix is one `hcat` of a flat list: a core, then copies of stacked
+# grid blocks, staircases and zeros (`_grids`, `_staircases` and `_zeros`
+# give an empty list, and build nothing, for zero copies, so no caller guards
+# a count).  The core is its proposition at its own width and budget, the
+# Blotto-to-General-Lotto reduction (Hart 2008) at K = the core's width, so
+# `_rows_matrix` checks it exactly against the same counts function that
+# `_check_target` applies to the whole matrix up to scale; exact counts also
+# fix the core's m(m+1) rows.
 #
 # A family is a list of blocks; a block is a named list of parts; a part is a
 # formula row repeated a computed number of times.  Empty index ranges and
@@ -239,16 +303,10 @@ def _rows_matrix(
     budget: int,
     width: int,
     rows: Iterable[tuple[int, ...]],
-    want_rows: int,
     want_counts: IntVec,
 ) -> PartitionMatrix:
-    rows = tuple(rows)
-    if len(rows) != want_rows:
-        raise ConstructionMismatch(
-            f"{family}: produced {len(rows)} rows, expected {want_rows}"
-        )
     try:
-        matrix = PartitionMatrix(budget, width, rows)
+        matrix = PartitionMatrix(budget, width, tuple(rows))
     except DimensionMismatch as exc:
         raise ConstructionMismatch(f"{family}: {exc}") from exc
     got = cardinality(matrix)
@@ -304,14 +362,14 @@ def build_EO(kind: str, m: int) -> PartitionMatrix:
         rows = [(2 * i, m + 2 * i, 2 * m - 4 * i) for i in range(m // 2 + 1)]
         rows += [(2 * i, m + 2 * i + 2, 2 * m - 4 * i - 2) for i in range(m // 2)]
         return _rows_matrix(
-            f"RE({m})", 3 * m, 3, rows, m + 1, vec_scale(3, base_vector(U_EVEN, m))
+            f"RE({m})", 3 * m, 3, rows, vec_scale(3, base_vector(U_EVEN, m))
         )
     if kind == RO:
         if m < 1 or m % 2 == 0:
             raise BadM(f"RO needs odd m >= 1, got {m}")
         shifted = (tuple(x + 1 for x in row) for row in build_EO(RE, m - 1).rows)
         return _rows_matrix(
-            f"RO({m})", 3 * m, 3, shifted, m, vec_scale(3, base_vector(U_ODD, m))
+            f"RO({m})", 3 * m, 3, shifted, vec_scale(3, base_vector(U_ODD, m))
         )
     raise BadIndex(f"unknown grid matrix kind {kind!r}")
 
@@ -338,7 +396,7 @@ def implement_u(kind: str, m: int, C: int, K: int) -> PartitionMatrix:
             )
         single, triple = O, RO
     if K % 2 == 0:
-        matrix = _beside(build_EO(single, m), K // 2)
+        matrix = hcat([build_EO(single, m)] * (K // 2))
     else:
         matrix = hcat(
             [build_EO(triple, m)] + [build_EO(single, m)] * ((K - 3) // 2)
@@ -507,16 +565,13 @@ def _t_blocks(m: int, r: int) -> list[_Block]:
     return blocks
 
 
-def _defence(
-    core: PartitionMatrix, m: int, spare: int, zero_cols: int
-) -> PartitionMatrix:
-    """The core, `spare` copies of E(m) stacked m times, then `zero_cols` zeros."""
-    parts = [core]
-    if spare:
-        parts.append(_stack(_beside(build_EO(E, m), spare), m))
-    if zero_cols > 0:
-        parts.append(_zeros(m * (m + 1), zero_cols))
-    return hcat(parts)
+def _defence(core: PartitionMatrix, m: int, K: int, L: int) -> PartitionMatrix:
+    """The core, (L - 2)/2 copies of E(m) stacked m times, then K - L - 1 zeros."""
+    return hcat(
+        [core]
+        + _grids(E, m, m, (L - 2) // 2)
+        + _zeros(m * (m + 1), K - L - 1)
+    )
 
 
 def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
@@ -531,7 +586,7 @@ def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
     if L == K:
         matrix = implement_u(U_EVEN, m, B, K)
     elif L % 2 == 0 and r == 0:
-        matrix = hcat([_beside(build_EO(E, m), L // 2), _zeros(m + 1, K - L)])
+        matrix = hcat([build_EO(E, m)] * (L // 2) + _zeros(m + 1, K - L))
     else:
         name, blocks, width = ("S", _s_blocks, 4) if L % 2 else ("T", _t_blocks, 3)
         budget = (width - 1) * m + r
@@ -540,16 +595,10 @@ def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
             budget,
             width,
             _family_rows(blocks(m, r)),
-            m * (m + 1),
-            vec_add(
-                _delta((m - r) * (m + 1)), vec_scale(budget, base_vector(U_EVEN, m))
-            ),
+            _prop3_counts(m, width, budget),
         )
-        matrix = _defence(core, m, (L - 2) // 2, K - L - 1)
-    target = vec_add(
-        _delta((K * m - B) * (m + 1)), vec_scale(B, base_vector(U_EVEN, m))
-    )
-    _check_target("build_prop3_B", matrix, target)
+        matrix = _defence(core, m, K, L)
+    _check_target("build_prop3_B", matrix, _prop3_counts(m, K, B))
     return matrix
 
 
@@ -648,62 +697,40 @@ def build_prop4_A(m: int, K: int, A: int) -> PartitionMatrix:
             f"this family needs A and K of equal parity, got A={A}, K={K}"
         )
     r = A % K
-    odd_m = _stack(build_EO(O, m), m + 1)
-    odd_next = _stack(build_EO(O, m + 1), m)
     if K % 2 == 0:
-        parts = []
-        if (K - r) // 2:
-            parts.append(_beside(odd_m, (K - r) // 2))
-        if r // 2:
-            parts.append(_beside(odd_next, r // 2))
-    elif r % 2:
-        core = _rows_matrix(
-            f"R2({m})",
-            3 * m + 1,
-            3,
-            _family_rows(_r2_blocks(m)),
-            m * (m + 1),
-            vec_add(
-                vec_scale(2 * (m + 1), base_vector(U_ODD, m)),
-                vec_scale(m, base_vector(U_ODD, m + 1)),
-            ),
-        )
-        parts = [core]
-        if (K - r) // 2 - 1:
-            parts.append(_beside(odd_m, (K - r) // 2 - 1))
-        if (r - 1) // 2:
-            parts.append(_beside(odd_next, (r - 1) // 2))
+        core, width, carry = [], 0, 0
     else:
-        core = _rows_matrix(
-            f"R3({m})",
-            3 * m + 2,
-            3,
-            _family_rows(_r3_blocks(m)),
-            m * (m + 1),
-            vec_add(
-                vec_scale(m + 1, base_vector(U_ODD, m)),
-                vec_scale(2 * m, base_vector(U_ODD, m + 1)),
-            ),
-        )
-        parts = [core]
-        if (K - r - 1) // 2:
-            parts.append(_beside(odd_m, (K - r - 1) // 2))
-        if r // 2 - 1:
-            parts.append(_beside(odd_next, r // 2 - 1))
-    matrix = hcat(parts)
-    target = vec_add(
-        vec_scale((K - r) * (m + 1), base_vector(U_ODD, m)),
-        vec_scale(r * m, base_vector(U_ODD, m + 1)),
+        # The 3-column core takes budget 3m + 1 (R2) when r is odd, 3m + 2
+        # (R3) when r is even; pairs of odd grids hold the rest.
+        width, carry = 3, 2 - r % 2
+        name, blocks = ("R2", _r2_blocks) if carry == 1 else ("R3", _r3_blocks)
+        budget = 3 * m + carry
+        core = [
+            _rows_matrix(
+                f"{name}({m})",
+                budget,
+                width,
+                _family_rows(blocks(m)),
+                _prop4_counts(m, width, budget),
+            )
+        ]
+    matrix = hcat(
+        core
+        + _grids(O, m, m + 1, (K - width - (r - carry)) // 2)
+        + _grids(O, m + 1, m, (r - carry) // 2)
     )
-    _check_target("build_prop4_A", matrix, target)
+    _check_target("build_prop4_A", matrix, _prop4_counts(m, K, A))
     return matrix
 
 
 # --- attacker matrices for budgets of mismatched parity ----------------------
 
 
-def _staircase(m: int) -> PartitionMatrix:
-    """Two-column block whose cardinality is the spike-sum plus the odd grid."""
+def _staircases(m: int, copies: int) -> list[PartitionMatrix]:
+    """`copies` references to the two-column block whose cardinality is the
+    spike-sum plus the odd grid; none, and nothing built, when copies <= 0."""
+    if copies <= 0:
+        return []
     blocks = [
         _Block(
             "R",
@@ -712,14 +739,10 @@ def _staircase(m: int) -> PartitionMatrix:
             ),
         )
     ]
-    return _rows_matrix(
-        f"R({m})",
-        2 * m + 1,
-        2,
-        _family_rows(blocks),
-        m * (m + 1),
-        vec_add(_vsigma(m), base_vector(U_ODD, m)),
+    staircase = _rows_matrix(
+        f"R({m})", 2 * m + 1, 2, _family_rows(blocks), _prop5_counts(m, 2, 2 * m + 1)
     )
+    return [staircase] * copies
 
 
 def _p1_tied_blocks(m: int) -> list[_Block]:
@@ -1088,45 +1111,26 @@ def _p2_odd_blocks(m: int) -> list[_Block]:
     return blocks
 
 
-def _odd_pad(m: int, width_copies: int, height: int, lead: PartitionMatrix | None = None) -> PartitionMatrix:
-    """Stacked horizontal run of O-grid blocks, optionally led by an RO block."""
-    mats = ([lead] if lead is not None else []) + [build_EO(O, m)] * width_copies
-    return _stack(hcat(mats), height)
-
-
 def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
     if K % 2 == 0:
-        parts = [_staircase(m)] * r
-        if K // 2 - r:
-            parts.append(_odd_pad(m, K // 2 - r, m + 1))
-        return hcat(parts)
+        return hcat(_staircases(m, r) + _grids(O, m, m + 1, K // 2 - r))
     if m % 2:
-        if K == 2 * r + 1:
-            tied = _rows_matrix(
-                f"S2({m})",
-                3 * m + 1,
-                3,
-                _family_rows(_p1_tied_blocks(m)),
-                m * (m + 1),
-                vec_add(_vsigma(m), vec_scale(m + 2, base_vector(U_ODD, m))),
+        if K != 2 * r + 1:
+            return hcat(
+                _staircases(m, r)
+                + _grids(RO, m, m + 1, 1)
+                + _grids(O, m, m + 1, (K - 3) // 2 - r)
             )
-            return hcat([tied] + [_staircase(m)] * (r - 1))
-        pad = _odd_pad(m, (K - 3) // 2 - r, m + 1, lead=build_EO(RO, m))
-        return hcat([_staircase(m)] * r + [pad])
-    if K >= 5 and r == 1:
+    elif K >= 5 and r == 1:
         single = _rows_matrix(
             f"S3({m})",
             5 * m + 1,
             5,
             _family_rows(_p1_single_blocks(m)),
-            m * (m + 1),
-            vec_add(_vsigma(m), vec_scale(3 * m + 4, base_vector(U_ODD, m))),
+            _prop5_counts(m, 5, 5 * m + 1),
         )
-        parts = [single]
-        if (K - 5) // 2:
-            parts.append(_odd_pad(m, (K - 5) // 2, m + 1))
-        return hcat(parts)
-    if K >= 5 and m <= 6:
+        return hcat([single] + _grids(O, m, m + 1, (K - 5) // 2))
+    elif K >= 5 and m <= 6:
         # The S5 split family fails its self-check at m = 2, 4 and 6.
         wide = _rows_matrix(
             f"T4({m})",
@@ -1135,67 +1139,50 @@ def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
             _family_rows(
                 _p1_single_blocks(m), 1, lambda block, *_: _P1_WIDE_COLUMN[block.name]
             ),
-            m * (m + 1),
-            vec_add(
-                vec_scale(2, _vsigma(m)), vec_scale(m + 3, base_vector(U_ODD, m))
-            ),
+            _prop5_counts(m, 5, 5 * m + 2),
         )
-        parts = [wide] + [_staircase(m)] * (r - 2)
-        if (K - 1) // 2 - r:
-            parts.append(_odd_pad(m, (K - 1) // 2 - r, m + 1))
-        return hcat(parts)
-    split = _rows_matrix(
-        f"S5({m})",
+        return hcat(
+            [wide]
+            + _staircases(m, r - 2)
+            + _grids(O, m, m + 1, (K - 1) // 2 - r)
+        )
+    name, blocks = ("S2", _p1_tied_blocks) if m % 2 else ("S5", _p1_split_blocks)
+    core = _rows_matrix(
+        f"{name}({m})",
         3 * m + 1,
         3,
-        _family_rows(_p1_split_blocks(m)),
-        m * (m + 1),
-        vec_add(_vsigma(m), vec_scale(m + 2, base_vector(U_ODD, m))),
+        _family_rows(blocks(m)),
+        _prop5_counts(m, 3, 3 * m + 1),
     )
-    parts = [split] + [_staircase(m)] * (r - 1)
-    if (K - 2 * r - 1) // 2:
-        parts.append(_odd_pad(m, (K - 2 * r - 1) // 2, m + 1))
-    return hcat(parts)
+    return hcat(
+        [core]
+        + _staircases(m, r - 1)
+        + _grids(O, m, m + 1, (K - 2 * r - 1) // 2)
+    )
 
 
 def _p2_matrix(m: int, K: int, r: int) -> PartitionMatrix:
     if K % 2 == 0:
+        return hcat(_staircases(m, K - r) + _grids(O, m + 1, m, r - K // 2))
+    if m % 2 == 0 and K != 2 * r - 1:
         return hcat(
-            [_staircase(m)] * (K - r) + [_odd_pad(m + 1, r - K // 2, m)]
+            _staircases(m, K - r)
+            + _grids(RO, m + 1, m, 1)
+            + _grids(O, m + 1, m, r - (K + 3) // 2)
         )
-    if m % 2 == 0:
-        if K == 2 * r - 1:
-            tied = _rows_matrix(
-                f"Y2({m})",
-                3 * m + 2,
-                3,
-                _family_rows(_p2_even_blocks(m)),
-                m * (m + 1),
-                vec_add(
-                    _vsigma(m),
-                    base_vector(U_ODD, m),
-                    vec_scale(m, base_vector(U_ODD, m + 1)),
-                ),
-            )
-            return hcat([tied] + [_staircase(m)] * (K - r - 1))
-        pad = _odd_pad(m + 1, r - (K + 3) // 2, m, lead=build_EO(RO, m + 1))
-        return hcat([_staircase(m)] * (K - r) + [pad])
+    name, blocks = ("Y3", _p2_odd_blocks) if m % 2 else ("Y2", _p2_even_blocks)
     tied = _rows_matrix(
-        f"Y3({m})",
+        f"{name}({m})",
         3 * m + 2,
         3,
-        _family_rows(_p2_odd_blocks(m)),
-        m * (m + 1),
-        vec_add(
-            _vsigma(m),
-            base_vector(U_ODD, m),
-            vec_scale(m, base_vector(U_ODD, m + 1)),
-        ),
+        _family_rows(blocks(m)),
+        _prop5_counts(m, 3, 3 * m + 2),
     )
-    parts = [tied] + [_staircase(m)] * (K - r - 1)
-    if (2 * r - K - 1) // 2:
-        parts.append(_odd_pad(m + 1, (2 * r - K - 1) // 2, m))
-    return hcat(parts)
+    return hcat(
+        [tied]
+        + _staircases(m, K - r - 1)
+        + _grids(O, m + 1, m, (2 * r - K - 1) // 2)
+    )
 
 
 def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
@@ -1211,21 +1198,13 @@ def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
         if K == 3 and m in (2, 4, 6):
             raise ExcludedCase(f"no P1 construction for K=3 with m={m}")
         matrix = _p1_matrix(m, K, r)
-        target = vec_add(
-            vec_scale(r, _vsigma(m)),
-            vec_scale(K * (m + 1) - r * (2 * m + 1), base_vector(U_ODD, m)),
-        )
     elif point == P2:
         if 2 * r <= K:
             raise BadAlpha(f"P2 needs A mod K above K/2, got {r} over K={K}")
         matrix = _p2_matrix(m, K, r)
-        target = vec_add(
-            vec_scale(K - r, vec_add(_vsigma(m), base_vector(U_ODD, m))),
-            vec_scale((2 * r - K) * m, base_vector(U_ODD, m + 1)),
-        )
     else:
         raise BadCase(f"point must be P1 or P2, got {point!r}")
-    _check_target("build_prop5_A", matrix, target)
+    _check_target("build_prop5_A", matrix, _prop5_counts(m, K, A))
     return matrix
 
 
@@ -1288,42 +1267,19 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
         raise InfeasibleRange(f"budget {B} outside ({2 * m}, {K * m}]")
     L, r = divmod(B, m)
     if L == K:
-        core = _rows_matrix(
-            f"full-width core({m})",
-            3 * m,
-            3,
-            _full_width_rows(m),
-            m * (m + 1),
-            vec_add(
-                vec_scale(m + 1, base_vector(U_ODD, m)),
-                vec_scale(2 * m, base_vector(U_EVEN, m)),
-            ),
-        )
+        name, width, budget = f"full-width core({m})", 3, 3 * m
+        rows = _full_width_rows(m)
     else:
         if L % 2:
             name, blocks, width, column = "S", _s_blocks, 4, lambda *_: 0
         else:
             name, blocks, width, column = "T", _t_blocks, 3, _t_down_column
+        name = f"tilde-{name}({m},{r})"
         budget = (width - 1) * m + r
-        core = _rows_matrix(
-            f"tilde-{name}({m},{r})",
-            budget,
-            width,
-            _family_rows(blocks(m, r + 1), -1, column),
-            m * (m + 1),
-            vec_add(
-                _delta((m - r) * (m + 1)),
-                vec_scale(m + 1, base_vector(U_ODD, m)),
-                vec_scale(budget - m, base_vector(U_EVEN, m)),
-            ),
-        )
-    matrix = _defence(core, m, (L - 2) // 2, K - L - 1)
-    target = vec_add(
-        _delta((K * m - B) * (m + 1)),
-        vec_scale(m + 1, base_vector(U_ODD, m)),
-        vec_scale(B - m, base_vector(U_EVEN, m)),
-    )
-    _check_target("build_prop7_B", matrix, target)
+        rows = _family_rows(blocks(m, r + 1), -1, column)
+    core = _rows_matrix(name, budget, width, rows, _prop7_counts(m, width, budget))
+    matrix = _defence(core, m, K, L)
+    _check_target("build_prop7_B", matrix, _prop7_counts(m, K, B))
     return matrix
 
 
@@ -1374,8 +1330,7 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
         raise InfeasibleParity(f"this family needs an odd budget, got B={B}")
     if not 2 * m + 1 <= B <= K * m:
         raise InfeasibleRange(f"budget {B} outside [{2 * m + 1}, {K * m}]")
-    base = B - 1
-    L, r = divmod(base, m)
+    L, r = divmod(B - 1, m)
     name, width = ("S", 4) if L % 2 else ("T", 3)
     if L % 2:
         rows = _family_rows(_s_blocks(m, r), 1, _s_up_column)
@@ -1389,20 +1344,10 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
         budget,
         width,
         rows,
-        m * (m + 1),
-        vec_add(
-            _delta((m - r) * (m + 1)),
-            vec_scale(m, base_vector(U_ODD, m + 1)),
-            vec_scale(budget - 1 - m, base_vector(U_EVEN, m)),
-        ),
+        _prop10_counts(m, width, budget),
     )
-    matrix = _defence(core, m, (L - 2) // 2, K - L - 1)
-    target = vec_add(
-        _delta((K * m - base) * (m + 1)),
-        vec_scale(m, base_vector(U_ODD, m + 1)),
-        vec_scale(base - m, base_vector(U_EVEN, m)),
-    )
-    _check_target("build_prop10_B", matrix, target)
+    matrix = _defence(core, m, K, L)
+    _check_target("build_prop10_B", matrix, _prop10_counts(m, K, B))
     return matrix
 
 

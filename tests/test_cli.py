@@ -186,6 +186,22 @@ def test_verify_rejects_malformed_strategy_files(capsys, tmp_path):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+def test_verify_rejects_unreadable_strategy_files(capsys, tmp_path, content):
+    stored = tmp_path / "strategies.json"
+    stored.write_bytes(content)
+    code, out, err = run(
+        capsys, "verify", "--a", "7", "--b", "6", "--k", "2", "--strategies", str(stored)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedJSON: cannot read strategies file as JSON")
+    assert err.count("\n") == 1
+
+
 def test_verify_rejects_matrix_without_battlefields(capsys, tmp_path):
     report = solve(GameSpec(7, 6, 2))
     broken = matrix_to_json(report.strategy_A)
@@ -233,6 +249,16 @@ def test_implement_rejects_malformed_distribution(capsys, dist):
     assert (code, out) == (1, "")
     assert err.startswith("MalformedJSON:")
     assert err.count("\n") == 1
+
+
+def test_implement_rejects_deeply_nested_distribution_json(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        nested = "[" * 100_000 + "]" * 100_000
+        main(["implement", "--dist", nested, "--c", "4", "--k", "2"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --dist: invalid JSON: maximum recursion depth" in captured.err
 
 
 def test_implement_matches_named_builder(capsys):

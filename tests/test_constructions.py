@@ -45,6 +45,7 @@ from blottokit.distributions import (
     vbar,
     vec_add,
 )
+from blottokit.general_lotto import LottoSpec, lotto_optimal_A, lotto_optimal_B
 from blottokit.errors import (
     BadAlpha,
     BadM,
@@ -446,6 +447,43 @@ def test_matrix_from_json_accepts_only_integers(blob):
         matrix_from_json(blob)
 
 
+def test_counts_functions_are_the_lotto_closed_forms():
+    # Each proposition's counts, normalized, are the mean-budget game's
+    # optimal strategy at a = A/K, b = B/K; Props. 5, 7 and 10 are the games
+    # with odd-mass floor 1/K.  The defender's side depends on A only through
+    # m and whether 2r < K, so r = 1 and r = K - 1 stand for every r.
+    checked = 0
+    for m in range(1, 9):
+        for K in range(2, 8):
+            for r in range(1, K):
+                A = K * m + r
+                spec = LottoSpec(Fraction(A, K), m)
+                floored = LottoSpec(Fraction(A, K), m, Fraction(1, K))
+                assert normalized(constructions._prop4_counts(m, K, A)) == (
+                    lotto_optimal_A(spec)
+                ), (m, K, A)
+                assert normalized(constructions._prop5_counts(m, K, A)) == (
+                    lotto_optimal_A(floored)
+                ), (m, K, A)
+                checked += 2
+                if r not in (1, K - 1):
+                    continue
+                odd = constructions._prop7_counts if 2 * r < K else (
+                    constructions._prop10_counts
+                )
+                for B in range(2 * m, K * m + 1):
+                    spec = LottoSpec(Fraction(A, K), Fraction(B, K))
+                    floored = LottoSpec(Fraction(A, K), Fraction(B, K), Fraction(1, K))
+                    assert normalized(constructions._prop3_counts(m, K, B)) == (
+                        lotto_optimal_B(spec)
+                    ), (m, K, B)
+                    assert normalized(odd(m, K, B)) == lotto_optimal_B(floored), (
+                        m, K, A, B,
+                    )
+                    checked += 2
+    assert checked == 2672
+
+
 @pytest.mark.parametrize(
     "rows",
     [((1, 2, 0), (4, -1, 0)), ((1, 2, 0), (1, 1, 0))],
@@ -453,7 +491,22 @@ def test_matrix_from_json_accepts_only_integers(blob):
 )
 def test_bad_core_row_raises_construction_mismatch(rows):
     with pytest.raises(ConstructionMismatch, match=r"^tilde-T\(2,1\): row "):
-        constructions._rows_matrix("tilde-T(2,1)", 3, 3, rows, 2, {})
+        constructions._rows_matrix("tilde-T(2,1)", 3, 3, rows, {})
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("fault", ["missing-row", "duplicated-row"])
+def test_core_row_count_is_fixed_by_its_counts(m, fault):
+    # R2 serves even m only.  With no row count passed in, exact equality
+    # with the proposition's counts at the core's width and budget is what
+    # rejects a wrong height.
+    rows = list(constructions._family_rows(constructions._r2_blocks(m)))
+    counts = constructions._prop4_counts(m, 3, 3 * m + 1)
+    core = constructions._rows_matrix(f"R2({m})", 3 * m + 1, 3, rows, counts)
+    assert core.row_count == m * (m + 1)
+    bad = rows[1:] if fault == "missing-row" else rows + rows[:1]
+    with pytest.raises(ConstructionMismatch, match=rf"^R2\({m}\): cardinality "):
+        constructions._rows_matrix(f"R2({m})", 3 * m + 1, 3, bad, counts)
 
 
 def test_negative_repeat_count_raises_construction_mismatch():
