@@ -296,8 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: building it costs more than solving a small instance, and
+# `parse_args` never writes to it (help formatters are made per call).
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
     except BlottoError as exc:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,8 +25,12 @@ from blottokit.constructions import (
 from blottokit.distributions import dist_from_json, dist_to_json
 
 
-def run(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+def run(capsys, *argv: str) -> tuple[object, str, str]:
+    """`main`'s exit code, also from a `SystemExit`, with its stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -351,3 +358,69 @@ def test_domain_errors_exit_with_code_1(capsys):
     code, _, err = run(capsys, "lotto-value", "--a", "2", "--b", "1", "--c", "3/4")
     assert code == 1
     assert err.startswith("OutOfTheoremScope:")
+
+
+def test_main_builds_no_parser_and_looks_up_commands_per_call(capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    assert run(capsys, "value", "--a", "7", "--b", "6", "--k", "2") == (0, "1/8\n", "")
+
+    # Tracers time the CLI by swapping the names `main` reaches through `cli`.
+    reports = []
+    report_to_json = cli.report_to_json
+
+    def recorded(report):
+        reports.append(report)
+        return report_to_json(report)
+
+    monkeypatch.setattr(cli, "report_to_json", recorded)
+    code, out, _ = run(capsys, "solve", "--a", "7", "--b", "6", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == "1/8"
+    assert reports == [solve(GameSpec(7, 6, 2))]
+
+
+def test_main_carries_nothing_between_calls(capsys, monkeypatch):
+    """Each call, made in one process, matches the same call on a fresh parser."""
+    calls = [
+        (None, ["value", "--a", "7"]),
+        (None, ["value", "--a", "5", "--b", "5", "--k", "2"]),
+        ("40", ["--help"]),
+        ("200", ["--help"]),
+        (None, ["solve", "--a", "7", "--b", "6", "--k", "2"]),
+    ]
+    shared, fresh = [], []
+    for columns, argv in calls:
+        if columns is not None:
+            monkeypatch.setenv("COLUMNS", columns)
+        shared.append(run(capsys, *argv))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_PARSER", cli.build_parser())
+            fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 1, 0, 0, 0]
+    assert shared[1][2].startswith("OutOfTheoremScope:")
+    narrow, wide = shared[2][1], shared[3][1]
+    assert narrow != wide
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+
+
+def test_entry_points_parse_the_process_arguments(capsys, monkeypatch):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["value", "--a", "7", "--b", "6", "--k", "2"]
+    result = subprocess.run(
+        [sys.executable, "-m", "blottokit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1/8\n", "")
+
+    monkeypatch.setattr(sys, "argv", ["blottokit", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == ("1/8\n", "")
