@@ -79,6 +79,8 @@ _SOLVED_CASES = frozenset(
     }
 )
 
+_LOW_B_CASES = frozenset({GameCase.LOW_B_TRIVIAL, GameCase.LOW_B_EQUAL})
+
 
 @dataclass(frozen=True)
 class GameSpec:
@@ -89,6 +91,10 @@ class GameSpec:
     K: int
 
     def __post_init__(self) -> None:
+        for name in ("A", "B", "K"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise OutOfTheoremScope(f"{name} must be an int, got {value!r}")
         if not self.A > self.B >= 1:
             raise OutOfTheoremScope(
                 f"the asymmetric game needs A > B >= 1, got A={self.A}, B={self.B}"
@@ -185,36 +191,14 @@ def _closed_form_value(spec: GameSpec, case: GameCase) -> Rat:
     )
 
 
-def _spread_matrix(spec: GameSpec) -> PartitionMatrix:
-    """All rows giving R battlefields m+1 units and the remaining K-R exactly m."""
-    rows = []
-    for chosen in itertools.combinations(range(spec.K), spec.R):
-        bumped = set(chosen)
-        rows.append(
-            tuple(spec.m + 1 if i in bumped else spec.m for i in range(spec.K))
-        )
-    return PartitionMatrix(spec.A, spec.K, tuple(rows))
-
-
-def _concentration_matrix(budget: int, battlefields: int) -> PartitionMatrix:
-    """One row per battlefield, each concentrating the whole budget there."""
-    rows = tuple(
-        tuple(budget if i == k else 0 for i in range(battlefields))
-        for k in range(battlefields)
-    )
-    return PartitionMatrix(budget, battlefields, rows)
-
-
-def _single_row_matrix(budget: int, battlefields: int) -> PartitionMatrix:
-    """The canonical pure row: the whole budget on the first battlefield."""
-    row = tuple(budget if i == 0 else 0 for i in range(battlefields))
-    return PartitionMatrix(budget, battlefields, (row,))
-
-
 def _attack_plan(spec: GameSpec, case: GameCase) -> PartitionMatrix:
-    """The stronger player's matrix in a non-trivial solved regime."""
+    """The stronger player's matrix in a solved regime."""
     A, K = spec.A, spec.K
     m, R = spec.m, spec.R
+    if case in _LOW_B_CASES:
+        # Battlefields are matched uniformly at random, so this one sorted
+        # row plays the same as all C(K, R) of its arrangements.
+        return PartitionMatrix(A, K, ((m + 1,) * R + (m,) * (K - R),))
     if case is GameCase.HIGH_B_DIV:
         return implement_u(U_ODD, A // K, A, K)
     if case is GameCase.HIGH_B_NDIV_EVEN and (A - K) % 2 == 0:
@@ -225,9 +209,13 @@ def _attack_plan(spec: GameSpec, case: GameCase) -> PartitionMatrix:
 
 
 def _defense_plan(spec: GameSpec, case: GameCase) -> PartitionMatrix:
-    """The weaker player's matrix in a non-trivial solved regime."""
+    """The weaker player's matrix in a solved regime."""
     A, B, K = spec.A, spec.B, spec.K
     m, R = spec.m, spec.R
+    if case in _LOW_B_CASES:
+        # The whole budget on one battlefield; under the same matching this
+        # row plays the same as the K rows that each pick a battlefield.
+        return PartitionMatrix(B, K, ((B,) + (0,) * (K - 1),))
     if case is GameCase.HIGH_B_NDIV_EVEN:
         return build_prop3_B(m, K, B)
     if case is GameCase.HIGH_B_NDIV_ODD:
@@ -248,15 +236,8 @@ def solve(spec: GameSpec) -> EquilibriumReport:
     """Certified equilibrium of a solved instance."""
     case = classify(spec)
     value = _closed_form_value(spec, case)
-    if case is GameCase.LOW_B_TRIVIAL:
-        strategy_a = _spread_matrix(spec)
-        strategy_b = _single_row_matrix(spec.B, spec.K)
-    elif case is GameCase.LOW_B_EQUAL:
-        strategy_a = _spread_matrix(spec)
-        strategy_b = _concentration_matrix(spec.B, spec.K)
-    else:
-        strategy_a = _attack_plan(spec, case)
-        strategy_b = _defense_plan(spec, case)
+    strategy_a = _attack_plan(spec, case)
+    strategy_b = _defense_plan(spec, case)
     cert = certify(strategy_a, strategy_b, spec.A, spec.B, spec.K)
     if not cert.equilibrium or cert.secured_by_A != value:
         raise CertificationFailed(

@@ -32,6 +32,7 @@ from .constructions import (
 from .distributions import U_EVEN, U_ODD, Dist, base_dist, dist_from_json, mean
 from .errors import (
     BlottoError,
+    ConstructionMismatch,
     DimensionMismatch,
     InfeasibleRange,
     MalformedJSON,
@@ -141,6 +142,9 @@ def _closed_form_candidates(
         for builder in builders:
             try:
                 yield builder(m)
+            except ConstructionMismatch:
+                # A builder that fails its own self-check is a bug, not a no.
+                raise
             except BlottoError:
                 continue
 

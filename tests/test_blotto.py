@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -42,11 +43,21 @@ from blottokit.errors import (
     UnsolvedCase,
 )
 from blottokit.general_lotto import LottoSpec, lotto_value
+from blottokit.verify import Certificate, certify
 from test_acceptance import feasible_builds
 
 
 def rows_multiset(matrix: PartitionMatrix) -> Counter:
     return Counter(tuple(row) for row in matrix.rows)
+
+
+def arrangements(high: int, low: int, count: int, K: int) -> PartitionMatrix:
+    """Every row with `high` on `count` of the K battlefields and `low` elsewhere."""
+    rows = tuple(
+        tuple(high if i in chosen else low for i in range(K))
+        for chosen in itertools.combinations(range(K), count)
+    )
+    return PartitionMatrix(sum(rows[0]), K, rows)
 
 
 def random_partition(rng: random.Random, total: int, parts: int) -> tuple[int, ...]:
@@ -64,6 +75,25 @@ def test_game_spec_validation():
         GameSpec(3, 0, 2)
     with pytest.raises(OutOfTheoremScope):
         GameSpec(3, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (7, 2.0, 3),
+        (7.0, 2, 3),
+        (7, 2, 3.0),
+        (7, True, 3),
+        (True, False, 2),
+        (7, 2, True),
+        (Fraction(7), 2, 3),
+        ("7", 2, 3),
+        (7, None, 3),
+    ],
+)
+def test_game_spec_rejects_non_int_values(args):
+    with pytest.raises(OutOfTheoremScope, match="must be an int"):
+        GameSpec(*args)
 
 
 def test_classify_examples():
@@ -158,12 +188,10 @@ def test_solve_high_even_example():
 
 def test_solve_equal_budget_example():
     report = solve(GameSpec(7, 2, 3))
-    assert rows_multiset(report.strategy_A) == Counter(
-        {(3, 2, 2): 1, (2, 3, 2): 1, (2, 2, 3): 1}
-    )
-    assert rows_multiset(report.strategy_B) == Counter(
-        {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}
-    )
+    assert report.strategy_A.rows == ((3, 2, 2),)
+    assert report.strategy_B.rows == ((2, 0, 0),)
+    assert report.strategy_A.to_dist() == arrangements(3, 2, 1, 3).to_dist()
+    assert report.strategy_B.to_dist() == arrangements(2, 0, 1, 3).to_dist()
     assert report.value == Fraction(7, 9)
     assert report.certificate.equilibrium
 
@@ -207,10 +235,46 @@ def test_solve_low_trivial():
     report = solve(GameSpec(8, 1, 3))
     assert report.value == 1
     assert report.certificate.secured_by_A == 1
-    assert rows_multiset(report.strategy_A) == Counter(
-        {(3, 3, 2): 1, (3, 2, 3): 1, (2, 3, 3): 1}
-    )
+    assert report.strategy_A.rows == ((3, 3, 2),)
+    assert report.strategy_A.to_dist() == arrangements(3, 2, 2, 3).to_dist()
     assert report.strategy_B.rows == ((1, 0, 0),)
+
+
+def test_low_b_solves_with_one_row_per_side():
+    # All C(K, R) arrangements of A's row would be 184,756 rows at (70, 1, 20)
+    # and C(40, 20) rows at (100, 2, 40).
+    for (A, B, K), case, value in (
+        ((70, 1, 20), GameCase.LOW_B_TRIVIAL, Fraction(1)),
+        ((100, 2, 40), GameCase.LOW_B_EQUAL, Fraction(40 * 40 - 40 + 20, 40 * 40)),
+    ):
+        m, R = divmod(A, K)
+        report = solve(GameSpec(A, B, K))
+        assert report.case is case
+        assert report.strategy_A.rows == ((m + 1,) * R + (m,) * (K - R),)
+        assert report.strategy_B.rows == ((B,) + (0,) * (K - 1),)
+        assert report.value == value
+        assert report.certificate == Certificate(value, value, True)
+
+
+def test_low_b_rows_play_as_all_their_arrangements():
+    """Over the sweep grid, each one-row LOW_B side has the entry distribution
+    and the certificate of the matrix of all its arrangements."""
+    checked = 0
+    for K in range(2, 7):
+        for A in range(K + 1, 31):
+            for B in range(1, A):
+                spec = GameSpec(A, B, K)
+                if classify(spec) not in (GameCase.LOW_B_TRIVIAL, GameCase.LOW_B_EQUAL):
+                    continue
+                report = solve(spec)
+                every_a = arrangements(spec.m + 1, spec.m, spec.R, K)
+                every_b = arrangements(B, 0, 1, K)
+                assert report.strategy_A.row_count == report.strategy_B.row_count == 1
+                assert report.strategy_A.to_dist() == every_a.to_dist()
+                assert report.strategy_B.to_dist() == every_b.to_dist()
+                assert certify(every_a, every_b, A, B, K) == report.certificate
+                checked += 1
+    assert checked == 579
 
 
 def test_sweep_solved_instances_certify():
@@ -240,7 +304,7 @@ def test_solve_json_bytes_are_pinned():
     assert solved == 1504
     assert (
         digest.hexdigest()
-        == "880e3613309804bc9647deffdccb4d892fb0b1d2d051697bff751977f2c7f07b"
+        == "c5cf6282328cd114bf9586bf63c65748efac8065e0c7f4cce72fd9df3196084a"
     )
 
 

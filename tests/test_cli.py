@@ -23,6 +23,7 @@ from blottokit.constructions import (
     matrix_to_json,
 )
 from blottokit.distributions import dist_from_json, dist_to_json
+from blottokit.errors import ConstructionMismatch, InfeasibleRange
 
 
 def run(capsys, *argv: str) -> tuple[object, str, str]:
@@ -103,7 +104,7 @@ def test_cli_stdout_bytes_are_pinned(capsys, tmp_path):
     assert solved == 513
     assert (
         digest.hexdigest()
-        == "1d038be72ede7c1973a14471b0c1451148bca07e459a6751926aec66ce79e79b"
+        == "2c76a62d415c30f28d707f8c4de530a9a7e20c52314642091a94428e0ca65908"
     )
 
 
@@ -308,6 +309,30 @@ def test_implement_never_searches_without_the_flag(capsys, monkeypatch):
         code, out, _ = run(capsys, "implement", "--dist", dist, "--c", str(c), "--k", str(k))
         assert code == 0
         assert matrix_from_json(json.loads(out)).to_dist() == target
+
+
+def test_implement_reports_a_failed_builder_self_check(capsys, monkeypatch):
+    target = constructions.build_prop7_B(2, 3, 5).to_dist()
+    dist = json.dumps(dist_to_json(target))
+    argv = ("implement", "--dist", dist, "--c", "5", "--k", "3")
+
+    # A builder that does not apply is skipped, and the search goes on.
+    def not_here(*args):
+        raise InfeasibleRange("not applicable")
+
+    monkeypatch.setattr(cli, "build_prop3_B", not_here)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert matrix_from_json(json.loads(out)).to_dist() == target
+
+    # A builder whose self-check fails is reported, not skipped.
+    def mismatched(*args):
+        raise ConstructionMismatch("build_prop7_B: counts differ from the target")
+
+    monkeypatch.setattr(cli, "build_prop7_B", mismatched)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "ConstructionMismatch: build_prop7_B: counts differ from the target\n"
 
 
 def test_implement_rejects_mean_mismatch(capsys):
