@@ -16,7 +16,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .constructions import (
     P1,
@@ -191,53 +191,58 @@ def _closed_form_value(spec: GameSpec, case: GameCase) -> Rat:
     )
 
 
-def _attack_plan(spec: GameSpec, case: GameCase) -> PartitionMatrix:
-    """The stronger player's matrix in a solved regime."""
+Plan = tuple[Callable[..., PartitionMatrix], tuple]
+
+
+def _attack_plan(spec: GameSpec, case: GameCase) -> Plan:
+    """(builder, args) of the stronger player's matrix in a solved regime."""
     A, K = spec.A, spec.K
     m, R = spec.m, spec.R
     if case in _LOW_B_CASES:
         # Battlefields are matched uniformly at random, so this one sorted
         # row plays the same as all C(K, R) of its arrangements.
-        return PartitionMatrix(A, K, ((m + 1,) * R + (m,) * (K - R),))
+        return PartitionMatrix, (A, K, ((m + 1,) * R + (m,) * (K - R),))
     if case is GameCase.HIGH_B_DIV:
-        return implement_u(U_ODD, A // K, A, K)
+        return implement_u, (U_ODD, A // K, A, K)
     if case is GameCase.HIGH_B_NDIV_EVEN and (A - K) % 2 == 0:
-        return build_prop4_A(m, K, A)
+        return build_prop4_A, (m, K, A)
     # The two-point family realizes the strategy that also secures the
     # odd-B value, so it is used for every remaining fractional case.
-    return build_prop5_A(m, K, A, P1 if 2 * R <= K else P2)
+    return build_prop5_A, (m, K, A, P1 if 2 * R <= K else P2)
 
 
-def _defense_plan(spec: GameSpec, case: GameCase) -> PartitionMatrix:
-    """The weaker player's matrix in a solved regime."""
+def _defense_plan(spec: GameSpec, case: GameCase) -> Plan:
+    """(builder, args) of the weaker player's matrix in a solved regime."""
     A, B, K = spec.A, spec.B, spec.K
     m, R = spec.m, spec.R
     if case in _LOW_B_CASES:
         # The whole budget on one battlefield; under the same matching this
         # row plays the same as the K rows that each pick a battlefield.
-        return PartitionMatrix(B, K, ((B,) + (0,) * (K - 1),))
+        return PartitionMatrix, (B, K, ((B,) + (0,) * (K - 1),))
     if case is GameCase.HIGH_B_NDIV_EVEN:
-        return build_prop3_B(m, K, B)
+        return build_prop3_B, (m, K, B)
     if case is GameCase.HIGH_B_NDIV_ODD:
         if 2 * R < K:
-            return build_prop7_B(m, K, B)
-        return build_prop10_B(m, K, B)
+            return build_prop7_B, (m, K, B)
+        return build_prop10_B, (m, K, B)
     # Divisible case: pick the member of the optimal family that has an
     # exact matrix implementation at this parity of B.
     level = A // K
     if B % 2 == 0:
-        return build_prop3_B(level if B >= 2 * level else level - 1, K, B)
+        return build_prop3_B, (level if B >= 2 * level else level - 1, K, B)
     if B == 2 * level - 1:
-        return build_prop6_B(level, K)
-    return build_prop7_B(level, K, B)
+        return build_prop6_B, (level, K)
+    return build_prop7_B, (level, K, B)
 
 
-def solve(spec: GameSpec) -> EquilibriumReport:
-    """Certified equilibrium of a solved instance."""
-    case = classify(spec)
-    value = _closed_form_value(spec, case)
-    strategy_a = _attack_plan(spec, case)
-    strategy_b = _defense_plan(spec, case)
+def _certified(
+    spec: GameSpec,
+    case: GameCase,
+    value: Rat,
+    strategy_a: PartitionMatrix,
+    strategy_b: PartitionMatrix,
+) -> Certificate:
+    """The certificate of the pair, which must prove `value` an equilibrium value."""
     cert = certify(strategy_a, strategy_b, spec.A, spec.B, spec.K)
     if not cert.equilibrium or cert.secured_by_A != value:
         raise CertificationFailed(
@@ -245,7 +250,28 @@ def solve(spec: GameSpec) -> EquilibriumReport:
             f"claimed value {format_rat(value)}, certificate secured "
             f"({format_rat(cert.secured_by_A)}, {format_rat(cert.secured_by_B)})"
         )
+    return cert
+
+
+def solve(spec: GameSpec) -> EquilibriumReport:
+    """Certified equilibrium of a solved instance."""
+    case = classify(spec)
+    value = _closed_form_value(spec, case)
+    builder_a, args_a = _attack_plan(spec, case)
+    strategy_a = builder_a(*args_a)
+    builder_b, args_b = _defense_plan(spec, case)
+    strategy_b = builder_b(*args_b)
+    cert = _certified(spec, case, value, strategy_a, strategy_b)
     return EquilibriumReport(strategy_a, strategy_b, value, cert, case)
+
+
+def _built(plan: Plan, matrices: dict[Plan, PartitionMatrix]) -> PartitionMatrix:
+    """The matrix of `plan`, built only if `matrices` does not hold it yet."""
+    matrix = matrices.get(plan)
+    if matrix is None:
+        builder, args = plan
+        matrix = matrices[plan] = builder(*args)
+    return matrix
 
 
 def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
@@ -253,28 +279,37 @@ def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
 
     Unsolved instances are classified and emitted without certification.
     The first failed certification aborts the sweep with a diagnostic.
-    Results are ordered by (K, A, B).
+    Results are ordered by (K, A, B).  Each plan's matrix depends only on
+    K, m = A // K and its own budgets, so it is built once per (K, m) block
+    and certified again in every instance that uses it; builders are pure
+    and matrices frozen, so this is the matrix `solve` would build.
     """
     if kmax < 2 or amax < 3:
         raise InfeasibleRange(f"sweep needs kmax >= 2 and amax >= 3, got ({kmax}, {amax})")
     rows = []
     for K in range(2, kmax + 1):
+        block = None
         for A in range(K + 1, amax + 1):
+            if A // K != block:
+                # Only one block's matrices are alive at a time.
+                block, matrices = A // K, {}
             for B in range(1, A):
                 spec = GameSpec(A, B, K)
                 case = classify(spec)
                 if not is_solved(case):
                     rows.append(SweepRow(K, A, B, case.value, None, None, None, None))
                     continue
-                report = solve(spec)
-                cert = report.certificate
+                value = _closed_form_value(spec, case)
+                strategy_a = _built(_attack_plan(spec, case), matrices)
+                strategy_b = _built(_defense_plan(spec, case), matrices)
+                cert = _certified(spec, case, value, strategy_a, strategy_b)
                 rows.append(
                     SweepRow(
                         K,
                         A,
                         B,
                         case.value,
-                        report.value,
+                        value,
                         cert.secured_by_A,
                         cert.secured_by_B,
                         True,

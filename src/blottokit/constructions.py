@@ -69,6 +69,10 @@ class PartitionMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        for name in ("budget", "battlefields"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DimensionMismatch(f"{name} must be an int, got {value!r}")
         if self.battlefields < 1 or len(self.rows) < 1:
             raise DimensionMismatch("need at least one row and one battlefield")
         for row in self.rows:
@@ -76,11 +80,16 @@ class PartitionMatrix:
                 raise DimensionMismatch(
                     f"row {row} has {len(row)} entries, expected {self.battlefields}"
                 )
+            # A float or Fraction entry makes the sum a float or Fraction,
+            # so the sum's type checks the entries without a second pass.
+            total = sum(row)
+            if type(total) is not int:
+                raise DimensionMismatch(f"row {row} has a non-integer entry")
             if min(row) < 0:
                 raise DimensionMismatch(f"row {row} has a negative entry")
-            if sum(row) != self.budget:
+            if total != self.budget:
                 raise DimensionMismatch(
-                    f"row {row} sums to {sum(row)}, expected budget {self.budget}"
+                    f"row {row} sums to {total}, expected budget {self.budget}"
                 )
 
     @property

@@ -40,10 +40,11 @@ class LottoSpec:
     c: Rat | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.c is not None:
-            object.__setattr__(self, "c", Fraction(self.c))
+        for name in ("a", "b") if self.c is None else ("a", "b", "c"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise OutOfTheoremScope(f"{name} must be an int or a Fraction, got {value!r}")
+            object.__setattr__(self, name, Fraction(value))
         if not self.a > self.b > 0:
             raise OutOfTheoremScope(f"budgets need a > b > 0, got a={self.a}, b={self.b}")
         if self.c is not None and not 0 < self.c <= self.b / (self.m + 1):

@@ -23,6 +23,7 @@ from blottokit.blotto import (
     payoff_lotto,
     report_to_json,
     solve,
+    sweep_certify,
     symmetrize,
 )
 from blottokit.constructions import PartitionMatrix, build_EO, E, matrix_to_json
@@ -43,7 +44,7 @@ from blottokit.errors import (
     UnsolvedCase,
 )
 from blottokit.general_lotto import LottoSpec, lotto_value
-from blottokit.verify import Certificate, certify
+from blottokit.verify import Certificate, certify, rows_to_csv
 from test_acceptance import feasible_builds
 
 
@@ -342,6 +343,50 @@ def test_odd_full_width_solves_without_search(monkeypatch):
         assert report.value == value
         assert report.certificate.equilibrium
         assert report.certificate.secured_by_A == value
+
+
+def test_sweep_csv_bytes_are_pinned():
+    rows = sweep_certify(6, 30)
+    assert len(rows) == 2140
+    assert (
+        hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+        == "a592b8ebac8a93efa4a5f044a5a69f887cf076feddec41503050bbace2075434"
+    )
+
+
+def test_sweep_builds_each_plan_once_per_block(monkeypatch):
+    """A matrix depends on K, m = A // K and its own budgets, so a (K, m) block builds each once."""
+    builds = Counter()
+    block = None
+    classify_orig = blotto.classify
+
+    def classify_noting_block(spec):
+        nonlocal block
+        block = (spec.K, spec.A // spec.K)
+        return classify_orig(spec)
+
+    def counting(name, builder):
+        def build(*args):
+            builds[block, name, args] += 1
+            return builder(*args)
+
+        return build
+
+    monkeypatch.setattr(blotto, "classify", classify_noting_block)
+    for name in (
+        "implement_u",
+        "build_prop3_B",
+        "build_prop4_A",
+        "build_prop5_A",
+        "build_prop6_B",
+        "build_prop7_B",
+        "build_prop10_B",
+    ):
+        monkeypatch.setattr(blotto, name, counting(name, getattr(blotto, name)))
+    sweep_certify(6, 30)
+    assert max(builds.values()) == 1
+    # `solve` on each of the 1,504 solved instances makes 1,850 builder calls.
+    assert sum(builds.values()) == 546
 
 
 def test_report_json_shape():

@@ -106,6 +106,22 @@ def test_cardinality_examples():
     assert cardinality(PartitionMatrix(3, 3, ((0, 1, 2),))) == {0: 1, 1: 1, 2: 1}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (7.0, 3, ((3, 2, 2),)),
+        (7, 3.0, ((3, 2, 2),)),
+        (True, 1, ((1,),)),
+        (2, True, ((2,),)),
+        (7, 3, ((3.0, 2, 2),)),
+        (7, 3, ((3, 2, 2), (Fraction(3), 2, 2))),
+    ],
+)
+def test_partition_matrix_rejects_non_int_fields(args):
+    with pytest.raises(DimensionMismatch, match="must be an int|non-integer entry"):
+        PartitionMatrix(*args)
+
+
 def test_hcat_vcat():
     e2 = build_EO(E, 2)
     wide = hcat([e2, e2])

@@ -64,6 +64,24 @@ def test_spec_validation():
         LottoSpec(Fraction(7, 3), 1, Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2.5, 1.0),
+        (Fraction(5, 2), 1.0),
+        (2.1, 0.1),
+        (True, Fraction(1, 2)),
+        (3, False),
+        (3, 1, 0.25),
+        (3, 2, True),
+        ("3", 1),
+    ],
+)
+def test_spec_rejects_non_rational_budgets(args):
+    with pytest.raises(OutOfTheoremScope, match="must be an int or a Fraction"):
+        LottoSpec(*args)
+
+
 def test_value_examples():
     assert lotto_value(LottoSpec(Fraction(7, 2), 3)) == Fraction(1, 8)
     assert lotto_value(LottoSpec(3, 2)) == Fraction(1, 3)

@@ -1,4 +1,4 @@
-"""Package-wide invariants: the error hierarchy and the import graph."""
+"""Package-wide invariants: error hierarchy, import graph, no module-global mutable state."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import ast
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 import blottokit
 from blottokit import errors
@@ -95,3 +97,127 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+
+_MUTATORS = frozenset({"append", "update", "setdefault", "add", "extend", "insert", "pop", "clear"})
+
+
+def _stored_names(node: ast.AST) -> set[str]:
+    return {
+        name.id
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+    }
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """Names bound by the module's own top-level statements."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        else:
+            names |= _stored_names(node)
+    return names
+
+
+def _local_names(func: ast.AST) -> set[str]:
+    """Parameters and assigned names anywhere inside `func`, nested functions included."""
+    names = _stored_names(func)
+    for node in ast.walk(func):
+        if isinstance(node, ast.arguments):
+            params = node.posonlyargs + node.args + node.kwonlyargs + [node.vararg, node.kwarg]
+            names.update(param.arg for param in params if param is not None)
+    return names
+
+
+def _root_name(node: ast.AST) -> str | None:
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _functions(tree: ast.Module) -> list[ast.AST]:
+    """Module-level functions and the methods of module-level classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = [node for node in tree.body if isinstance(node, kinds)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [item for item in node.body if isinstance(item, kinds)]
+    return found
+
+
+def _global_state_uses(source: str) -> list[str]:
+    """Every cache decorator, `global` statement and function write into a module-level name."""
+    tree = ast.parse(source)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"{node.lineno}: global {', '.join(node.names)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [
+                f"{node.lineno}: functools.{alias.name}"
+                for alias in node.names
+                if alias.name in ("cache", "lru_cache")
+            ]
+        elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+            if _root_name(node) == "functools":
+                found.append(f"{node.lineno}: functools.{node.attr}")
+    module = _module_names(tree)
+    for func in _functions(tree):
+        shared = module - _local_names(func)
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = _root_name(node.func.value)
+                if node.func.attr in _MUTATORS and name in shared:
+                    found.append(f"{node.lineno}: {func.name} calls {name}.{node.func.attr}")
+                continue
+            else:
+                continue
+            found += [
+                f"{node.lineno}: {func.name} writes into {_root_name(target)}"
+                for target in targets
+                if isinstance(target, (ast.Attribute, ast.Subscript))
+                and _root_name(target) in shared
+            ]
+    return found
+
+
+def test_no_module_global_mutable_state():
+    found = {
+        path.name: _global_state_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("_TABLE = {1: 2}\ndef f(k):\n    return _TABLE[k]\n", []),
+        ("_T = {}\ndef f(k):\n    _T = {}\n    _T[k] = k\n    _T.update({})\n", []),
+        ("def f(memo):\n    memo.append(1)\n", []),
+        ("_MEMO = {}\ndef f(k):\n    _MEMO[k] = k\n", ["3: f writes into _MEMO"]),
+        ("_MEMO = {}\ndef f(k):\n    _MEMO[k] += 1\n", ["3: f writes into _MEMO"]),
+        ("import m\ndef f():\n    m.x.y = 1\n", ["3: f writes into m"]),
+        (
+            "_SEEN = set()\nclass C:\n    def f(self):\n        _SEEN.add(1)\n",
+            ["4: f calls _SEEN.add"],
+        ),
+        ("_N = 0\ndef f():\n    global _N\n", ["3: global _N"]),
+        (
+            "import functools\n@functools.lru_cache\ndef f():\n    pass\n",
+            ["2: functools.lru_cache"],
+        ),
+        ("from functools import cache\n", ["1: functools.cache"]),
+    ],
+)
+def test_global_state_scan_flags_each_kind(source, uses):
+    assert _global_state_uses(source) == uses
