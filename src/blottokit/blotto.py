@@ -235,36 +235,6 @@ def _defense_plan(spec: GameSpec, case: GameCase) -> Plan:
     return build_prop7_B, (level, K, B)
 
 
-def _certified(
-    spec: GameSpec,
-    case: GameCase,
-    value: Rat,
-    strategy_a: PartitionMatrix,
-    strategy_b: PartitionMatrix,
-) -> Certificate:
-    """The certificate of the pair, which must prove `value` an equilibrium value."""
-    cert = certify(strategy_a, strategy_b, spec.A, spec.B, spec.K)
-    if not cert.equilibrium or cert.secured_by_A != value:
-        raise CertificationFailed(
-            f"(A={spec.A}, B={spec.B}, K={spec.K}) {case.value}: "
-            f"claimed value {format_rat(value)}, certificate secured "
-            f"({format_rat(cert.secured_by_A)}, {format_rat(cert.secured_by_B)})"
-        )
-    return cert
-
-
-def solve(spec: GameSpec) -> EquilibriumReport:
-    """Certified equilibrium of a solved instance."""
-    case = classify(spec)
-    value = _closed_form_value(spec, case)
-    builder_a, args_a = _attack_plan(spec, case)
-    strategy_a = builder_a(*args_a)
-    builder_b, args_b = _defense_plan(spec, case)
-    strategy_b = builder_b(*args_b)
-    cert = _certified(spec, case, value, strategy_a, strategy_b)
-    return EquilibriumReport(strategy_a, strategy_b, value, cert, case)
-
-
 def _built(plan: Plan, matrices: dict[Plan, PartitionMatrix]) -> PartitionMatrix:
     """The matrix of `plan`, built only if `matrices` does not hold it yet."""
     matrix = matrices.get(plan)
@@ -272,6 +242,29 @@ def _built(plan: Plan, matrices: dict[Plan, PartitionMatrix]) -> PartitionMatrix
         builder, args = plan
         matrix = matrices[plan] = builder(*args)
     return matrix
+
+
+def _solve(
+    spec: GameSpec, case: GameCase, matrices: dict[Plan, PartitionMatrix]
+) -> EquilibriumReport:
+    """Certified equilibrium of `spec` in the solved regime `case`, taking
+    matrices from and adding them to `matrices`."""
+    value = _closed_form_value(spec, case)
+    strategy_a = _built(_attack_plan(spec, case), matrices)
+    strategy_b = _built(_defense_plan(spec, case), matrices)
+    cert = certify(strategy_a, strategy_b, spec.A, spec.B, spec.K)
+    if not cert.equilibrium or cert.secured_by_A != value:
+        raise CertificationFailed(
+            f"(A={spec.A}, B={spec.B}, K={spec.K}) {case.value}: "
+            f"claimed value {format_rat(value)}, certificate secured "
+            f"({format_rat(cert.secured_by_A)}, {format_rat(cert.secured_by_B)})"
+        )
+    return EquilibriumReport(strategy_a, strategy_b, value, cert, case)
+
+
+def solve(spec: GameSpec) -> EquilibriumReport:
+    """Certified equilibrium of a solved instance."""
+    return _solve(spec, classify(spec), {})
 
 
 def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
@@ -299,17 +292,15 @@ def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
                 if not is_solved(case):
                     rows.append(SweepRow(K, A, B, case.value, None, None, None, None))
                     continue
-                value = _closed_form_value(spec, case)
-                strategy_a = _built(_attack_plan(spec, case), matrices)
-                strategy_b = _built(_defense_plan(spec, case), matrices)
-                cert = _certified(spec, case, value, strategy_a, strategy_b)
+                report = _solve(spec, case, matrices)
+                cert = report.certificate
                 rows.append(
                     SweepRow(
                         K,
                         A,
                         B,
                         case.value,
-                        value,
+                        report.value,
                         cert.secured_by_A,
                         cert.secured_by_B,
                         True,

@@ -201,10 +201,10 @@ def _cmd_verify(args: argparse.Namespace) -> None:
             )
         strategy_a = matrix_from_json(payload["A"])
         strategy_b = matrix_from_json(payload["B"])
+        cert = certify(strategy_a, strategy_b, spec.A, spec.B, spec.K)
     else:
-        report = solve(spec)
-        strategy_a, strategy_b = report.strategy_A, report.strategy_B
-    cert = certify(strategy_a, strategy_b, spec.A, spec.B, spec.K)
+        # `solve` has already certified its own pair.
+        cert = solve(spec).certificate
     _emit(
         {
             "secured_A": format_rat(cert.secured_by_A),

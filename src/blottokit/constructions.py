@@ -14,7 +14,6 @@ only explicit requests, never the solver.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -1370,71 +1369,78 @@ def _completions(
     `cap`, summing to `target` and using at most `odd_allow` odd values;
     yielded in descending lexicographic order."""
     vals = [v for v in sorted(rem, reverse=True) if v <= cap and rem[v] > 0]
-
-    def gen(idx: int, slots: int, target: int, odd_allow: int) -> Iterator[tuple[int, ...]]:
+    # Search nodes: (index into vals, prefix, slots left, target left, odd left).
+    stack = [(0, (), slots, target, odd_allow)]
+    while stack:
+        idx, prefix, slots, target, odd_allow = stack.pop()
         if slots == 0:
             if target == 0:
-                yield ()
-            return
+                yield prefix
+            continue
         if idx == len(vals):
-            return
+            continue
         value = vals[idx]
         if value * slots < target:
-            return
+            continue
         top = min(rem[value], slots)
         if value:
             top = min(top, target // value)
         if value % 2:
             top = min(top, odd_allow)
-        for take in range(top, -1, -1):
-            head = (value,) * take
+        # Pushed in ascending order, so the largest take is expanded first.
+        for take in range(top + 1):
             left_odd = odd_allow - take if value % 2 else odd_allow
-            for rest in gen(idx + 1, slots - take, target - take * value, left_odd):
-                yield head + rest
-
-    return gen(0, slots, target, odd_allow)
+            stack.append(
+                (idx + 1, prefix + (value,) * take, slots - take, target - take * value, left_odd)
+            )
 
 
 def _attempt(
     counts: Mapping[int, int], budget: int, K: int, L: int, spent: list[int]
 ) -> list[tuple[int, ...]] | None:
-    rem = dict(counts)
-    odd_total = sum(c for v, c in rem.items() if v % 2)
-    rows: list[tuple[int, ...]] = []
+    """Rows of an L-row matrix with the given value counts, or None.
 
-    def place(left: int, odd_left: int) -> bool:
-        if left == 0:
-            return True
-        pivot = max(v for v, c in rem.items() if c)
-        rem[pivot] -= 1
-        odd_left -= pivot % 2
-        # An odd budget makes every row consume at least one odd value, so a
-        # row may not take odds that later rows will be starved of.
-        odd_allow = odd_left - (left - 1) if budget % 2 else odd_left
-        bound = rows[-1][1:] if rows and rows[-1][0] == pivot else None
-        for completion in _completions(rem, budget - pivot, K - 1, pivot, odd_allow):
+    Each row takes the largest value left as its pivot and one completion
+    of it; rows stay in non-increasing order.  `frames` holds one
+    (pivot, completion generator) per open row, so it is one longer than
+    `rows` exactly when the last step backtracked.
+    """
+    rem = dict(counts)
+    rows: list[tuple[int, ...]] = []
+    frames: list[tuple[int, Iterator[tuple[int, ...]]]] = []
+    while len(rows) < L:
+        if len(frames) == len(rows):
+            pivot = max(v for v, c in rem.items() if c)
+            rem[pivot] -= 1
+            odd_allow = sum(c for v, c in rem.items() if v % 2)
+            if budget % 2:
+                # An odd budget makes every row consume at least one odd
+                # value, so a row may not take odds that later rows need.
+                odd_allow -= L - len(rows) - 1
+            frames.append((pivot, _completions(rem, budget - pivot, K - 1, pivot, odd_allow)))
+        pivot, completions = frames[-1]
+        for completion in completions:
             # Count every generated completion, rejected ones included, so
             # the budget bounds the work done and not only the rows tried.
             spent[0] += 1
             if spent[0] > _NODE_BUDGET:
-                raise SearchExceeded(
-                    f"row search exceeded {_NODE_BUDGET} placements"
-                )
-            if bound is not None and completion > bound:
+                raise SearchExceeded(f"row search exceeded {_NODE_BUDGET} placements")
+            row = (pivot,) + completion
+            # Pivots never grow, so this keeps rows in non-increasing order.
+            if rows and row > rows[-1]:
                 continue
-            used_odd = sum(1 for v in completion if v % 2)
             for v in completion:
                 rem[v] -= 1
-            rows.append((pivot,) + completion)
-            if place(left - 1, odd_left - used_odd):
-                return True
-            rows.pop()
-            for v in completion:
+            rows.append(row)
+            break
+        else:
+            frames.pop()
+            rem[pivot] += 1
+            if not rows:
+                return None
+            for v in rows.pop()[1:]:
                 rem[v] += 1
-        rem[pivot] += 1
-        return False
-
-    return rows if place(L, odd_total) else None
+    return rows
 
 
 def generic_implement(
@@ -1466,19 +1472,9 @@ def generic_implement(
             f"cap is {max_rows}"
         )
     spent = [0]
-    old_limit = sys.getrecursionlimit()
-    try:
-        L = base
-        while L * battlefields <= max_rows:
-            sys.setrecursionlimit(max(old_limit, L + budget + 128))
-            counts = {
-                point: int(weight * L * battlefields)
-                for point, weight in target.items
-            }
-            found = _attempt(counts, budget, battlefields, L, spent)
-            if found is not None:
-                return PartitionMatrix(budget, battlefields, tuple(found))
-            L += base
-    finally:
-        sys.setrecursionlimit(old_limit)
+    for L in range(base, max_rows // battlefields + 1, base):
+        counts = {point: int(weight * L * battlefields) for point, weight in target.items}
+        found = _attempt(counts, budget, battlefields, L, spent)
+        if found is not None:
+            return PartitionMatrix(budget, battlefields, tuple(found))
     return None

@@ -62,18 +62,15 @@ class LottoSpec:
         return self.a - self.m
 
 
-def _require_fractional(spec: LottoSpec) -> None:
+def _check_scope(spec: LottoSpec) -> None:
+    """Raise OutOfTheoremScope unless the value theorem covers `spec`.
+
+    At an integer a, m = a and the spec's own a > b already gives b < m.
+    """
     if spec.alpha == 0:
-        raise OutOfTheoremScope(
-            f"the odd-mass-floor game is solved only for fractional a, got a={spec.a}"
-        )
-
-
-def _require_b_in_range(spec: LottoSpec, strict: bool) -> None:
-    if strict:
-        if not spec.b < spec.m:
+        if spec.c is not None:
             raise OutOfTheoremScope(
-                f"integer budget a={spec.a} is solved only for b < {spec.m}, got b={spec.b}"
+                f"the odd-mass-floor game is solved only for fractional a, got a={spec.a}"
             )
     elif not spec.b <= spec.m:
         raise OutOfTheoremScope(
@@ -84,12 +81,9 @@ def _require_b_in_range(spec: LottoSpec, strict: bool) -> None:
 def lotto_value(spec: LottoSpec) -> Rat:
     """Exact value of the game for the stronger player."""
     m, alpha, b = spec.m, spec.alpha, spec.b
+    _check_scope(spec)
     if alpha == 0:
-        if spec.c is not None:
-            _require_fractional(spec)
-        _require_b_in_range(spec, strict=True)
         return 1 - Fraction(b, m)
-    _require_b_in_range(spec, strict=False)
     value = 1 - (1 - alpha) * b / m - alpha * b / (m + 1)
     if spec.c is not None:
         value += spec.c * min(alpha, 1 - alpha) / (m * (m + 1))
@@ -99,12 +93,9 @@ def lotto_value(spec: LottoSpec) -> Rat:
 def lotto_optimal_A(spec: LottoSpec) -> Dist:
     """Canonical optimal strategy of the stronger player."""
     m, alpha = spec.m, spec.alpha
+    _check_scope(spec)
     if alpha == 0:
-        if spec.c is not None:
-            _require_fractional(spec)
-        _require_b_in_range(spec, strict=True)
         return base_dist(U_ODD, m)
-    _require_b_in_range(spec, strict=False)
     if spec.c is None:
         return mix(
             [(1 - alpha, base_dist(U_ODD, m)), (alpha, base_dist(U_ODD, m + 1))]
@@ -135,20 +126,17 @@ def lotto_optimal_B(spec: LottoSpec, uniform_member: bool = False) -> Dist:
     instead of the even-grid default.
     """
     m, alpha, b = spec.m, spec.alpha, spec.b
+    if alpha and uniform_member:
+        raise OutOfTheoremScope(
+            f"the uniform member exists only for integer budgets, got a={spec.a}"
+        )
+    _check_scope(spec)
     if alpha == 0:
-        if spec.c is not None:
-            _require_fractional(spec)
-        _require_b_in_range(spec, strict=True)
         if uniform_member:
             inner = normalized({value: 1 for value in range(1, 2 * m)})
         else:
             inner = base_dist(U_EVEN, m)
         return mix([(1 - Fraction(b, m), point_mass(0)), (Fraction(b, m), inner)])
-    if uniform_member:
-        raise OutOfTheoremScope(
-            f"the uniform member exists only for integer budgets, got a={spec.a}"
-        )
-    _require_b_in_range(spec, strict=False)
     if spec.c is None:
         return mix(
             [(1 - b / m, point_mass(0)), (b / m, base_dist(U_EVEN, m))]

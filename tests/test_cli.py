@@ -182,6 +182,32 @@ def test_verify_round_trips_stored_strategies(capsys, tmp_path):
     }
 
 
+def test_verify_without_strategies_reuses_the_solve_certificate(capsys, tmp_path, monkeypatch):
+    args = ("verify", "--a", "13", "--b", "8", "--k", "4")
+    expected = run(capsys, *args)
+    report = solve(GameSpec(13, 8, 4))
+    stored = tmp_path / "strategies.json"
+    stored.write_text(
+        json.dumps(
+            {"A": matrix_to_json(report.strategy_A), "B": matrix_to_json(report.strategy_B)}
+        ),
+        encoding="utf-8",
+    )
+    certified = []
+
+    def no_certify(*args):
+        certified.append(args)
+        raise AssertionError("verify certified a pair that solve already certified")
+
+    monkeypatch.setattr(cli, "certify", no_certify)
+    assert run(capsys, *args) == expected
+    assert certified == []
+    # Stored strategies are certified by the CLI itself.
+    with pytest.raises(AssertionError):
+        main([*args, "--strategies", str(stored)])
+    assert len(certified) == 1
+
+
 def test_verify_rejects_malformed_strategy_files(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

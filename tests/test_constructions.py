@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
@@ -413,6 +415,42 @@ def test_node_budget_counts_rejected_completions(monkeypatch):
     monkeypatch.setattr(constructions, "_NODE_BUDGET", 10_000)
     with pytest.raises(SearchExceeded):
         generic_implement(target, 27, 3)
+
+
+def _prop7_full_width_target() -> Dist:
+    return mix([(Fraction(1, 3), base_dist(U_ODD, 9)), (Fraction(2, 3), base_dist(U_EVEN, 9))])
+
+
+def test_search_rows_are_pinned():
+    # The rows and their order come from the search order alone.
+    found = generic_implement(_prop7_full_width_target(), 27, 3)
+    assert found.row_count == 45
+    assert (
+        sha256(repr(found.rows).encode()).hexdigest()
+        == "6fede09343fa74d66d53b3e287ae677420022ca40b365aa85e8f3e8591f4cdb5"
+    )
+
+
+def test_node_budget_boundary_is_exact(monkeypatch):
+    # The (9, 3, 27) search draws exactly 17,614 completions.
+    target = _prop7_full_width_target()
+    monkeypatch.setattr(constructions, "_NODE_BUDGET", 17_614)
+    assert generic_implement(target, 27, 3).row_count == 45
+    monkeypatch.setattr(constructions, "_NODE_BUDGET", 17_613)
+    with pytest.raises(SearchExceeded):
+        generic_implement(target, 27, 3)
+
+
+def test_deep_search_leaves_recursion_limit_alone(monkeypatch):
+    def no_setter(limit):
+        raise AssertionError(f"search set the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", no_setter)
+    # 2,519 rows, one per search level: 2.5 times the default recursion limit.
+    target = normalized({0: 1259, 1: 1, 2: 1259})
+    found = generic_implement(target, 2, 2)
+    assert found.row_count == 2519
+    assert found.to_dist() == target
 
 
 def test_prop7_full_width_needs_no_search(monkeypatch):

@@ -102,6 +102,34 @@ def test_value_scope_errors():
         lotto_value(LottoSpec(Fraction(7, 2), Fraction(13, 4)))
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (LottoSpec(3, 2, Fraction(1, 4)), "solved only for fractional a, got a=3"),
+        (LottoSpec(2, 1, Fraction(1, 3)), "solved only for fractional a, got a=2"),
+        (LottoSpec(Fraction(7, 2), Fraction(13, 4)), "solved only for b <= 3, got b=13/4"),
+        (
+            LottoSpec(Fraction(7, 2), Fraction(13, 4), Fraction(1, 2)),
+            "solved only for b <= 3, got b=13/4",
+        ),
+        (LottoSpec(Fraction(5, 2), Fraction(9, 4)), "solved only for b <= 2, got b=9/4"),
+    ],
+)
+def test_scope_errors_agree_across_value_and_strategies(spec, message):
+    raised = []
+    for function in (lotto_value, lotto_optimal_A, lotto_optimal_B):
+        with pytest.raises(OutOfTheoremScope) as info:
+            function(spec)
+        raised.append(str(info.value))
+    assert raised == [raised[0]] * 3
+    assert raised[0].endswith(message)
+
+
+def test_uniform_member_error_precedes_the_budget_range():
+    with pytest.raises(OutOfTheoremScope, match="uniform member exists only"):
+        lotto_optimal_B(LottoSpec(Fraction(7, 2), Fraction(13, 4)), uniform_member=True)
+
+
 def test_optimal_strategy_examples():
     assert lotto_optimal_B(LottoSpec(Fraction(7, 2), 3)) == base_dist(U_EVEN, 3)
     constrained = LottoSpec(Fraction(4, 3), 1, Fraction(1, 3))

@@ -151,7 +151,8 @@ def _functions(tree: ast.Module) -> list[ast.AST]:
 
 
 def _global_state_uses(source: str) -> list[str]:
-    """Every cache decorator, `global` statement and function write into a module-level name."""
+    """Every cache decorator, `global` statement, function write into a
+    module-level name and function call of a `sys.set*` setter."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -175,9 +176,12 @@ def _global_state_uses(source: str) -> list[str]:
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                name = _root_name(node.func.value)
-                if node.func.attr in _MUTATORS and name in shared:
-                    found.append(f"{node.lineno}: {func.name} calls {name}.{node.func.attr}")
+                name, attr = _root_name(node.func.value), node.func.attr
+                if attr in _MUTATORS and name in shared:
+                    found.append(f"{node.lineno}: {func.name} calls {name}.{attr}")
+                elif name == "sys" and attr.startswith("set"):
+                    # Interpreter-wide settings such as the recursion limit.
+                    found.append(f"{node.lineno}: {func.name} calls sys.{attr}")
                 continue
             else:
                 continue
@@ -217,6 +221,10 @@ def test_no_module_global_mutable_state():
             ["2: functools.lru_cache"],
         ),
         ("from functools import cache\n", ["1: functools.cache"]),
+        (
+            "import sys\ndef f(n):\n    sys.setrecursionlimit(n)\n    sys.getrecursionlimit()\n",
+            ["3: f calls sys.setrecursionlimit"],
+        ),
     ],
 )
 def test_global_state_scan_flags_each_kind(source, uses):
