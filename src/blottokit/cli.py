@@ -62,6 +62,23 @@ def _json_arg(text: str) -> dict:
     return obj
 
 
+def _int_rows(value: list) -> str | None:
+    """`json.dumps(value)` when `value` is a list of flat int lists, else None.
+
+    Every check runs in C: each item is a list, one "[" per item means none
+    nests, and nothing left once digits, signs and separators are deleted
+    means no bool, float, string or null.
+    """
+    if set(map(type, value)) != {list}:
+        return None
+    text = json.dumps(value)
+    if text.count("[") != len(value) + 1 or text.encode().translate(
+        None, b"0123456789-[], "
+    ):
+        return None
+    return text
+
+
 def _encode(value: object, newline: str, out: list[str]) -> None:
     # The layout of json.dumps(indent=2), written here because indent makes
     # json fall back to its pure-Python encoder.  Keys are strings.
@@ -75,6 +92,12 @@ def _encode(value: object, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     elif isinstance(value, list) and value and set(map(type, value)) == {int}:
         out.append("[" + ", ".join(map(str, value)) + "]")
+    elif isinstance(value, list) and value and (rows := _int_rows(value)) is not None:
+        # A matrix: one row per line, all of it written by one dumps.
+        inner = newline + "  "
+        out.append(
+            "[" + inner + rows[1:-1].replace("], [", "]," + inner + "[") + newline + "]"
+        )
     elif isinstance(value, list) and value:
         inner = newline + "  "
         separator = "[" + inner

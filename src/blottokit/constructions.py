@@ -14,7 +14,9 @@ only explicit requests, never the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -24,7 +26,6 @@ from .distributions import (
     U_EVEN,
     U_ODD,
     U_ODD_UP,
-    V,
     base_vector,
     mean,
     normalized,
@@ -72,24 +73,48 @@ class PartitionMatrix:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DimensionMismatch(f"{name} must be an int, got {value!r}")
-        if self.battlefields < 1 or len(self.rows) < 1:
+        try:
+            rows = tuple(map(tuple, self.rows))
+        except TypeError:
+            raise DimensionMismatch(
+                f"rows must be an iterable of rows, got {self.rows!r}"
+            ) from None
+        if self.battlefields < 1 or not rows:
             raise DimensionMismatch("need at least one row and one battlefield")
-        for row in self.rows:
-            if len(row) != self.battlefields:
-                raise DimensionMismatch(
-                    f"row {row} has {len(row)} entries, expected {self.battlefields}"
-                )
-            # A float or Fraction entry makes the sum a float or Fraction,
-            # so the sum's type checks the entries without a second pass.
-            total = sum(row)
-            if type(total) is not int:
-                raise DimensionMismatch(f"row {row} has a non-integer entry")
-            if min(row) < 0:
-                raise DimensionMismatch(f"row {row} has a negative entry")
-            if total != self.budget:
-                raise DimensionMismatch(
-                    f"row {row} sums to {total}, expected budget {self.budget}"
-                )
+        # One C-level pass per rule; only a failing matrix is walked row by
+        # row, to name its first bad row.
+        if (
+            set(map(len, rows)) != {self.battlefields}
+            or set(map(type, chain.from_iterable(rows))) != {int}
+            or min(map(min, rows)) < 0
+            or set(map(sum, rows)) != {self.budget}
+        ):
+            for row in rows:
+                if len(row) != self.battlefields:
+                    raise DimensionMismatch(
+                        f"row {row} has {len(row)} entries, expected {self.battlefields}"
+                    )
+                if set(map(type, row)) != {int}:
+                    raise DimensionMismatch(f"row {row} has a non-integer entry")
+                if min(row) < 0:
+                    raise DimensionMismatch(f"row {row} has a negative entry")
+                if sum(row) != self.budget:
+                    raise DimensionMismatch(
+                        f"row {row} sums to {sum(row)}, expected budget {self.budget}"
+                    )
+        # Tuples make equal matrices compare and hash equal, whatever
+        # containers the caller passed; the rows are stored only once checked.
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, *values: object) -> PartitionMatrix:
+        """A matrix from field values that already hold, with no check: the
+        one constructor that skips `__post_init__`.  `hcat` and `vcat` use it
+        for rows glued from matrices that were checked when built."""
+        matrix = object.__new__(cls)
+        for field, value in zip(fields(cls), values, strict=True):
+            object.__setattr__(matrix, field.name, value)
+        return matrix
 
     @property
     def row_count(self) -> int:
@@ -105,7 +130,7 @@ def matrix_to_json(matrix: PartitionMatrix) -> dict:
     return {
         "budget": matrix.budget,
         "battlefields": matrix.battlefields,
-        "rows": [list(row) for row in matrix.rows],
+        "rows": list(map(list, matrix.rows)),
     }
 
 
@@ -132,15 +157,14 @@ def matrix_from_json(obj: Mapping) -> PartitionMatrix:
 
 def cardinality(matrix: PartitionMatrix) -> IntVec:
     """Counts of each integer across all L*K entries of the matrix."""
-    out: IntVec = {}
-    for row in matrix.rows:
-        for value in row:
-            out[value] = out.get(value, 0) + 1
-    return out
+    return dict(Counter(chain.from_iterable(matrix.rows)))
 
 
 def hcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
-    """Rows glued side by side; budgets add, row counts must agree."""
+    """Rows glued side by side; budgets add, row counts must agree.
+
+    The parts were checked when built, so the result is not checked again.
+    """
     if not parts:
         raise DimensionMismatch("hcat needs at least one matrix")
     height = parts[0].row_count
@@ -148,16 +172,17 @@ def hcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
         raise DimensionMismatch(
             f"hcat needs equal row counts, got {[p.row_count for p in parts]}"
         )
-    rows = tuple(
-        tuple(x for part in parts for x in part.rows[i]) for i in range(height)
-    )
-    return PartitionMatrix(
+    rows = tuple(map(tuple, map(chain.from_iterable, zip(*(p.rows for p in parts)))))
+    return PartitionMatrix._trusted(
         sum(p.budget for p in parts), sum(p.battlefields for p in parts), rows
     )
 
 
 def vcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
-    """Rows stacked; budgets and battlefield counts must agree."""
+    """Rows stacked; budgets and battlefield counts must agree.
+
+    The parts were checked when built, so the result is not checked again.
+    """
     if not parts:
         raise DimensionMismatch("vcat needs at least one matrix")
     first = parts[0]
@@ -167,22 +192,33 @@ def vcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
                 f"vcat needs equal budgets and widths, got ({p.budget}, {p.battlefields})"
                 f" vs ({first.budget}, {first.battlefields})"
             )
-    return PartitionMatrix(
+    return PartitionMatrix._trusted(
         first.budget,
         first.battlefields,
-        tuple(row for p in parts for row in p.rows),
+        tuple(chain.from_iterable(p.rows for p in parts)),
     )
 
 
-def _grids(kind: str, m: int, height: int, copies: int) -> list[PartitionMatrix]:
+# A block of a glued matrix with its entry counts, known without a count of
+# the glued result: a core's counts are the ones `_rows_matrix` checked.
+_Piece = tuple[PartitionMatrix, IntVec]
+
+
+def _grids(kind: str, m: int, height: int, copies: int) -> list[_Piece]:
     """`copies` references to the grid matrix of `kind` and size m with its rows
-    repeated `height` times; none, and nothing built, when copies <= 0."""
-    return [vcat([build_EO(kind, m)] * height)] * copies if copies > 0 else []
+    repeated `height` times; none, and nothing built, when copies <= 0.  The
+    grid is counted once, whatever `height` and `copies` are."""
+    if copies <= 0:
+        return []
+    grid = build_EO(kind, m)
+    return [(vcat([grid] * height), vec_scale(height, cardinality(grid)))] * copies
 
 
-def _zeros(height: int, width: int) -> list[PartitionMatrix]:
+def _zeros(height: int, width: int) -> list[_Piece]:
     """A block of zeros `width` columns wide; none when width <= 0."""
-    return [PartitionMatrix(0, width, ((0,) * width,) * height)] if width > 0 else []
+    if width <= 0:
+        return []
+    return [(PartitionMatrix(0, width, ((0,) * width,) * height), {0: height * width})]
 
 
 def _delta(count: int) -> IntVec:
@@ -190,8 +226,9 @@ def _delta(count: int) -> IntVec:
 
 
 def _vsigma(m: int) -> IntVec:
-    """Summed counts of the m two-spike base vectors: 2i at even 2i, 2m-v at odd v."""
-    return vec_add(*(base_vector(V, m, j) for j in range(1, m + 1)))
+    """Summed counts of the m two-spike base vectors V(m, j): 2i at even 2i,
+    2m-v at odd v, written in closed form (a test checks it against the sum)."""
+    return {v: 2 * m - v if v % 2 else v for v in range(1, 2 * m + 1)}
 
 
 # --- proposition targets ------------------------------------------------------
@@ -252,14 +289,15 @@ def _prop10_counts(m: int, K: int, budget: int) -> IntVec:
 
 # --- block machinery -------------------------------------------------------
 #
-# Every matrix is one `hcat` of a flat list: a core, then copies of stacked
-# grid blocks, staircases and zeros (`_grids`, `_staircases` and `_zeros`
-# give an empty list, and build nothing, for zero copies, so no caller guards
-# a count).  The core is its proposition at its own width and budget, the
-# Blotto-to-General-Lotto reduction (Hart 2008) at K = the core's width, so
-# `_rows_matrix` checks it exactly against the same counts function that
-# `_check_target` applies to the whole matrix up to scale; exact counts also
-# fix the core's m(m+1) rows.
+# Every matrix is one `_glue` of a flat list of pieces: a core, then copies of
+# stacked grid blocks, staircases and zeros (`_grids`, `_staircases` and
+# `_zeros` give an empty list, and build nothing, for zero copies, so no
+# caller guards a count).  The core is its proposition at its own width and
+# budget, the Blotto-to-General-Lotto reduction (Hart 2008) at K = the core's
+# width, so `_rows_matrix` checks it exactly against the same counts function
+# that `_check_target` applies to the whole matrix up to scale; exact counts
+# also fix the core's m(m+1) rows.  Each piece carries its counts, so the
+# whole matrix is checked from its leaves without being counted again.
 #
 # A family is a list of blocks; a block is a named list of parts; a part is a
 # formula row repeated a computed number of times.  Empty index ranges and
@@ -325,16 +363,23 @@ def _rows_matrix(
     return matrix
 
 
-def _check_target(builder: str, matrix: PartitionMatrix, target: IntVec) -> None:
-    """Raise unless the matrix's entry counts are proportional to `target`.
+def _core(
+    family: str, budget: int, width: int, rows: Iterable[tuple[int, ...]], counts: IntVec
+) -> list[_Piece]:
+    """The one-piece list of a checked core and its counts."""
+    return [(_rows_matrix(family, budget, width, rows, counts), counts)]
 
-    With N = L*K entries and T the target's total, got[p]*T == target[p]*N
-    at every point of a common support is exact equality of the two
-    normalized distributions; zero target counts are ignored.
+
+def _check_target(builder: str, got: IntVec, target: IntVec) -> None:
+    """Raise unless a matrix's entry counts `got` are proportional to `target`.
+
+    With N = L*K entries (the total of `got`) and T the target's total,
+    got[p]*T == target[p]*N at every point of a common support is exact
+    equality of the two normalized distributions; zero target counts are
+    ignored.
     """
     want = {p: c for p, c in target.items() if c}
-    got = cardinality(matrix)
-    entries = matrix.row_count * matrix.battlefields
+    entries = sum(got.values())
     total = sum(want.values())
     if got.keys() != want.keys() or any(
         got[p] * total != c * entries for p, c in want.items()
@@ -343,6 +388,13 @@ def _check_target(builder: str, matrix: PartitionMatrix, target: IntVec) -> None
             f"{builder}: counts {got} over {entries} entries are not proportional "
             f"to target counts {want} over {total}"
         )
+
+
+def _glue(builder: str, pieces: Sequence[_Piece], target: IntVec) -> PartitionMatrix:
+    """The pieces side by side, checked against `target` through their counts."""
+    matrix = hcat([block for block, _ in pieces])
+    _check_target(builder, vec_add(*(counts for _, counts in pieces)), target)
+    return matrix
 
 
 # --- grid matrices ----------------------------------------------------------
@@ -392,25 +444,23 @@ def implement_u(kind: str, m: int, C: int, K: int) -> PartitionMatrix:
         raise MeanMismatch(
             f"grid mean is {m}, so budget {C} over {K} battlefields needs C = {m * K}"
         )
-    if kind == U_EVEN:
-        if C % 2:
-            raise InfeasibleParity(f"even grid needs an even budget, got C={C}")
-        single, triple = E, RE
-    else:
-        if (C - K) % 2:
-            raise InfeasibleParity(
-                f"odd grid needs budget and battlefield count of equal parity, "
-                f"got C={C}, K={K}"
-            )
-        single, triple = O, RO
-    if K % 2 == 0:
-        matrix = hcat([build_EO(single, m)] * (K // 2))
-    else:
-        matrix = hcat(
-            [build_EO(triple, m)] + [build_EO(single, m)] * ((K - 3) // 2)
+    if kind == U_EVEN and C % 2:
+        raise InfeasibleParity(f"even grid needs an even budget, got C={C}")
+    if kind == U_ODD and (C - K) % 2:
+        raise InfeasibleParity(
+            f"odd grid needs budget and battlefield count of equal parity, "
+            f"got C={C}, K={K}"
         )
-    _check_target("implement_u", matrix, base_vector(kind, m))
-    return matrix
+    return _glue("implement_u", _uniform_pieces(kind, m, K), base_vector(kind, m))
+
+
+def _uniform_pieces(kind: str, m: int, K: int) -> list[_Piece]:
+    """K columns of two-column grids of size m, led by one three-column grid
+    when K is odd."""
+    single, triple = (E, RE) if kind == U_EVEN else (O, RO)
+    if K % 2 == 0:
+        return _grids(single, m, 1, K // 2)
+    return _grids(triple, m, 1, 1) + _grids(single, m, 1, (K - 3) // 2)
 
 
 # --- the 4-column S and 3-column T families (even defender budgets) ---------
@@ -573,13 +623,9 @@ def _t_blocks(m: int, r: int) -> list[_Block]:
     return blocks
 
 
-def _defence(core: PartitionMatrix, m: int, K: int, L: int) -> PartitionMatrix:
+def _defence(core: list[_Piece], m: int, K: int, L: int) -> list[_Piece]:
     """The core, (L - 2)/2 copies of E(m) stacked m times, then K - L - 1 zeros."""
-    return hcat(
-        [core]
-        + _grids(E, m, m, (L - 2) // 2)
-        + _zeros(m * (m + 1), K - L - 1)
-    )
+    return core + _grids(E, m, m, (L - 2) // 2) + _zeros(m * (m + 1), K - L - 1)
 
 
 def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
@@ -592,22 +638,21 @@ def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
         raise InfeasibleRange(f"budget {B} outside [{2 * m}, {K * m}]")
     L, r = divmod(B, m)
     if L == K:
-        matrix = implement_u(U_EVEN, m, B, K)
+        pieces = _uniform_pieces(U_EVEN, m, K)
     elif L % 2 == 0 and r == 0:
-        matrix = hcat([build_EO(E, m)] * (L // 2) + _zeros(m + 1, K - L))
+        pieces = _grids(E, m, 1, L // 2) + _zeros(m + 1, K - L)
     else:
         name, blocks, width = ("S", _s_blocks, 4) if L % 2 else ("T", _t_blocks, 3)
         budget = (width - 1) * m + r
-        core = _rows_matrix(
+        core = _core(
             f"{name}({m},{r})",
             budget,
             width,
             _family_rows(blocks(m, r)),
             _prop3_counts(m, width, budget),
         )
-        matrix = _defence(core, m, K, L)
-    _check_target("build_prop3_B", matrix, _prop3_counts(m, K, B))
-    return matrix
+        pieces = _defence(core, m, K, L)
+    return _glue("build_prop3_B", pieces, _prop3_counts(m, K, B))
 
 
 # --- attacker matrices for budgets of matching parity -----------------------
@@ -713,28 +758,25 @@ def build_prop4_A(m: int, K: int, A: int) -> PartitionMatrix:
         width, carry = 3, 2 - r % 2
         name, blocks = ("R2", _r2_blocks) if carry == 1 else ("R3", _r3_blocks)
         budget = 3 * m + carry
-        core = [
-            _rows_matrix(
-                f"{name}({m})",
-                budget,
-                width,
-                _family_rows(blocks(m)),
-                _prop4_counts(m, width, budget),
-            )
-        ]
-    matrix = hcat(
+        core = _core(
+            f"{name}({m})",
+            budget,
+            width,
+            _family_rows(blocks(m)),
+            _prop4_counts(m, width, budget),
+        )
+    pieces = (
         core
         + _grids(O, m, m + 1, (K - width - (r - carry)) // 2)
         + _grids(O, m + 1, m, (r - carry) // 2)
     )
-    _check_target("build_prop4_A", matrix, _prop4_counts(m, K, A))
-    return matrix
+    return _glue("build_prop4_A", pieces, _prop4_counts(m, K, A))
 
 
 # --- attacker matrices for budgets of mismatched parity ----------------------
 
 
-def _staircases(m: int, copies: int) -> list[PartitionMatrix]:
+def _staircases(m: int, copies: int) -> list[_Piece]:
     """`copies` references to the two-column block whose cardinality is the
     spike-sum plus the odd grid; none, and nothing built, when copies <= 0."""
     if copies <= 0:
@@ -747,10 +789,9 @@ def _staircases(m: int, copies: int) -> list[PartitionMatrix]:
             ),
         )
     ]
-    staircase = _rows_matrix(
+    return _core(
         f"R({m})", 2 * m + 1, 2, _family_rows(blocks), _prop5_counts(m, 2, 2 * m + 1)
-    )
-    return [staircase] * copies
+    ) * copies
 
 
 def _p1_tied_blocks(m: int) -> list[_Block]:
@@ -1119,28 +1160,28 @@ def _p2_odd_blocks(m: int) -> list[_Block]:
     return blocks
 
 
-def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
+def _p1_pieces(m: int, K: int, r: int) -> list[_Piece]:
     if K % 2 == 0:
-        return hcat(_staircases(m, r) + _grids(O, m, m + 1, K // 2 - r))
+        return _staircases(m, r) + _grids(O, m, m + 1, K // 2 - r)
     if m % 2:
         if K != 2 * r + 1:
-            return hcat(
+            return (
                 _staircases(m, r)
                 + _grids(RO, m, m + 1, 1)
                 + _grids(O, m, m + 1, (K - 3) // 2 - r)
             )
     elif K >= 5 and r == 1:
-        single = _rows_matrix(
+        single = _core(
             f"S3({m})",
             5 * m + 1,
             5,
             _family_rows(_p1_single_blocks(m)),
             _prop5_counts(m, 5, 5 * m + 1),
         )
-        return hcat([single] + _grids(O, m, m + 1, (K - 5) // 2))
+        return single + _grids(O, m, m + 1, (K - 5) // 2)
     elif K >= 5 and m <= 6:
         # The S5 split family fails its self-check at m = 2, 4 and 6.
-        wide = _rows_matrix(
+        wide = _core(
             f"T4({m})",
             5 * m + 2,
             5,
@@ -1149,48 +1190,36 @@ def _p1_matrix(m: int, K: int, r: int) -> PartitionMatrix:
             ),
             _prop5_counts(m, 5, 5 * m + 2),
         )
-        return hcat(
-            [wide]
-            + _staircases(m, r - 2)
-            + _grids(O, m, m + 1, (K - 1) // 2 - r)
-        )
+        return wide + _staircases(m, r - 2) + _grids(O, m, m + 1, (K - 1) // 2 - r)
     name, blocks = ("S2", _p1_tied_blocks) if m % 2 else ("S5", _p1_split_blocks)
-    core = _rows_matrix(
+    core = _core(
         f"{name}({m})",
         3 * m + 1,
         3,
         _family_rows(blocks(m)),
         _prop5_counts(m, 3, 3 * m + 1),
     )
-    return hcat(
-        [core]
-        + _staircases(m, r - 1)
-        + _grids(O, m, m + 1, (K - 2 * r - 1) // 2)
-    )
+    return core + _staircases(m, r - 1) + _grids(O, m, m + 1, (K - 2 * r - 1) // 2)
 
 
-def _p2_matrix(m: int, K: int, r: int) -> PartitionMatrix:
+def _p2_pieces(m: int, K: int, r: int) -> list[_Piece]:
     if K % 2 == 0:
-        return hcat(_staircases(m, K - r) + _grids(O, m + 1, m, r - K // 2))
+        return _staircases(m, K - r) + _grids(O, m + 1, m, r - K // 2)
     if m % 2 == 0 and K != 2 * r - 1:
-        return hcat(
+        return (
             _staircases(m, K - r)
             + _grids(RO, m + 1, m, 1)
             + _grids(O, m + 1, m, r - (K + 3) // 2)
         )
     name, blocks = ("Y3", _p2_odd_blocks) if m % 2 else ("Y2", _p2_even_blocks)
-    tied = _rows_matrix(
+    tied = _core(
         f"{name}({m})",
         3 * m + 2,
         3,
         _family_rows(blocks(m)),
         _prop5_counts(m, 3, 3 * m + 2),
     )
-    return hcat(
-        [tied]
-        + _staircases(m, K - r - 1)
-        + _grids(O, m + 1, m, (2 * r - K - 1) // 2)
-    )
+    return tied + _staircases(m, K - r - 1) + _grids(O, m + 1, m, (2 * r - K - 1) // 2)
 
 
 def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
@@ -1205,15 +1234,14 @@ def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
             raise BadAlpha(f"P1 needs A mod K at most K/2, got {r} over K={K}")
         if K == 3 and m in (2, 4, 6):
             raise ExcludedCase(f"no P1 construction for K=3 with m={m}")
-        matrix = _p1_matrix(m, K, r)
+        pieces = _p1_pieces(m, K, r)
     elif point == P2:
         if 2 * r <= K:
             raise BadAlpha(f"P2 needs A mod K above K/2, got {r} over K={K}")
-        matrix = _p2_matrix(m, K, r)
+        pieces = _p2_pieces(m, K, r)
     else:
         raise BadCase(f"point must be P1 or P2, got {point!r}")
-    _check_target("build_prop5_A", matrix, _prop5_counts(m, K, A))
-    return matrix
+    return _glue("build_prop5_A", pieces, _prop5_counts(m, K, A))
 
 
 # --- defender matrices for odd budgets ---------------------------------------
@@ -1230,7 +1258,7 @@ def build_prop6_B(m: int, K: int) -> PartitionMatrix:
     target = vec_add(_delta(K * m - 2 * m + 1), base_vector(U_ODD, m))
     if m > 1:
         target = vec_add(target, base_vector(U_ODD_UP, m))
-    _check_target("build_prop6_B", matrix, target)
+    _check_target("build_prop6_B", cardinality(matrix), target)
     return matrix
 
 
@@ -1253,7 +1281,8 @@ def _full_width_rows(m: int) -> list[tuple[int, ...]]:
             reps = 1 if 2 * k == i else 2
             lower += [(2 * i + 1, 2 * (h - i + k), 2 * (m - k))] * reps
             lower += [(2 * i + 1, 2 * (m - k), 2 * (h - i + k))] * reps
-    return lower + [tuple(2 * m - x for x in row) for row in lower if row[0] < m]
+    top = 2 * m
+    return lower + [(top - a, top - b, top - c) for a, b, c in lower if a < m]
 
 
 def _t_down_column(block: _Block, part: _Part, k: int, n: int) -> int:
@@ -1285,10 +1314,8 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
         name = f"tilde-{name}({m},{r})"
         budget = (width - 1) * m + r
         rows = _family_rows(blocks(m, r + 1), -1, column)
-    core = _rows_matrix(name, budget, width, rows, _prop7_counts(m, width, budget))
-    matrix = _defence(core, m, K, L)
-    _check_target("build_prop7_B", matrix, _prop7_counts(m, K, B))
-    return matrix
+    core = _core(name, budget, width, rows, _prop7_counts(m, width, budget))
+    return _glue("build_prop7_B", _defence(core, m, K, L), _prop7_counts(m, K, B))
 
 
 def _s_up_column(block: _Block, part: _Part, k: int, n: int) -> int:
@@ -1347,16 +1374,14 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
     else:
         rows = [(0, 2 * i + 1, 2 * m - 2 * i) for _ in range(m) for i in range(m + 1)]
     budget = (width - 1) * m + r + 1
-    core = _rows_matrix(
+    core = _core(
         f"tilde-{name}({m},{r})",
         budget,
         width,
         rows,
         _prop10_counts(m, width, budget),
     )
-    matrix = _defence(core, m, K, L)
-    _check_target("build_prop10_B", matrix, _prop10_counts(m, K, B))
-    return matrix
+    return _glue("build_prop10_B", _defence(core, m, K, L), _prop10_counts(m, K, B))
 
 
 # --- exhaustive search --------------------------------------------------------

@@ -118,6 +118,27 @@ def test_emit_keeps_the_indented_layout_on_edge_payloads(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "rows, layout",
+    [
+        ([[True, 1]], '[\n    [\n      true,\n      1\n    ]\n  ]'),
+        ([[1.5, 2]], '[\n    [\n      1.5,\n      2\n    ]\n  ]'),
+        ([["1"]], '[\n    [\n      "1"\n    ]\n  ]'),
+        ([[1, [2]]], '[\n    [\n      1,\n      [2]\n    ]\n  ]'),
+        ([[1], 2], '[\n    [1],\n    2\n  ]'),
+        ([[1], [2, [3]], 4], '[\n    [1],\n    [\n      2,\n      [3]\n    ],\n    4\n  ]'),
+        ([[-1, 2], [], [0]], '[\n    [-1, 2],\n    [],\n    [0]\n  ]'),
+    ],
+    ids=["bool", "float", "string", "nested", "bare-int", "mixed", "int-rows"],
+)
+def test_emit_writes_only_int_rows_in_one_piece(capsys, rows, layout):
+    # Lists of lists that are not all plain ints keep the item-by-item
+    # layout; each expected string is what json.dumps(indent=2) would give,
+    # with every list of plain ints on one line.
+    cli._emit({"rows": rows})
+    assert capsys.readouterr().out == '{\n  "rows": ' + layout + "\n}\n"
+
+
 def readme_cli_examples() -> list[tuple[str, str]]:
     """Each `$ blottokit ...` line in README.md with the output printed under it."""
     readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -38,8 +38,10 @@ from blottokit.distributions import (
     U_EVEN,
     U_ODD,
     U_ODD_UP,
+    V,
     Dist,
     base_dist,
+    base_vector,
     mean,
     mix,
     normalized,
@@ -117,6 +119,7 @@ def test_cardinality_examples():
         (2, True, ((2,),)),
         (7, 3, ((3.0, 2, 2),)),
         (7, 3, ((3, 2, 2), (Fraction(3), 2, 2))),
+        (7, 3, ((True, 4, 2),)),
     ],
 )
 def test_partition_matrix_rejects_non_int_fields(args):
@@ -137,6 +140,81 @@ def test_hcat_vcat():
         vcat([e2, build_EO(E, 3)])
 
 
+def test_partition_matrix_stores_rows_as_tuples():
+    from_lists = PartitionMatrix(2, 2, [[1, 1], [2, 0]])
+    from_tuples = PartitionMatrix(2, 2, ((1, 1), (2, 0)))
+    assert from_lists.rows == ((1, 1), (2, 0))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    wide = hcat([from_lists, PartitionMatrix(3, 1, [[3], [3]])])
+    assert wide == PartitionMatrix(5, 3, ((1, 1, 3), (2, 0, 3)))
+    assert vcat([from_lists, from_tuples]).rows == ((1, 1), (2, 0)) * 2
+
+
+@pytest.mark.parametrize("rows", [5, (5,), [[1, 1], None]])
+def test_partition_matrix_rejects_non_iterable_rows(rows):
+    with pytest.raises(DimensionMismatch, match="iterable of rows"):
+        PartitionMatrix(2, 2, rows)
+
+
+def test_only_leaves_are_validated(monkeypatch):
+    validated = []
+    check = PartitionMatrix.__post_init__
+
+    def recording(self):
+        validated.append(self.battlefields)
+        check(self)
+
+    monkeypatch.setattr(PartitionMatrix, "__post_init__", recording)
+    matrix = build_prop7_B(13, 7, 91)
+    assert matrix.battlefields == 7
+    # The 3-column core and the 2-column grid E(13), never a glued block.
+    assert validated and 7 not in validated
+    assert set(validated) <= {2, 3}
+
+
+def test_each_leaf_is_counted_once(monkeypatch):
+    scanned = []
+    count = constructions.cardinality
+
+    def scanning(matrix):
+        scanned.append(matrix.row_count * matrix.battlefields)
+        return count(matrix)
+
+    monkeypatch.setattr(constructions, "cardinality", scanning)
+    matrix = build_prop7_B(13, 7, 91)
+    assert matrix.row_count * matrix.battlefields == 1274
+    # The core's 13 * 14 rows of 3, then the 14 rows of 2 of one E(13);
+    # counting the glued matrix too would scan 1274 entries more.
+    assert sum(scanned) <= 546 + 28
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_prop3_B(4, 6, 18),
+        lambda: build_prop5_A(13, 7, 93, P1),
+        lambda: build_prop7_B(13, 7, 91),
+    ],
+    ids=["prop3", "prop5-P1", "prop7"],
+)
+def test_counts_from_leaves_still_catch_an_extra_grid(monkeypatch, build):
+    grids = constructions._grids
+    monkeypatch.setattr(
+        constructions,
+        "_grids",
+        lambda kind, m, height, copies: grids(kind, m, height, copies + 1),
+    )
+    with pytest.raises(ConstructionMismatch):
+        build()
+
+
+def test_vsigma_is_the_sum_of_the_two_spike_vectors():
+    for m in range(1, 30):
+        spikes = [base_vector(V, m, j) for j in range(1, m + 1)]
+        assert constructions._vsigma(m) == vec_add(*spikes), m
+
+
 def test_composition_cardinality_additivity_randomized():
     rng = random.Random(23)
     pool = [build_EO(E, m) for m in range(1, 5)] + [build_EO(O, m) for m in range(1, 5)]
@@ -154,13 +232,15 @@ def test_check_target_accepts_any_positive_multiple():
     matrix = build_prop3_B(2, 3, 4)
     assert cardinality(matrix) == {0: 5, 2: 2, 4: 2}
     for factor in (1, 2, 7):
-        constructions._check_target("t", matrix, {0: 5 * factor, 2: 2 * factor, 4: 2 * factor})
+        constructions._check_target(
+            "t", cardinality(matrix), {0: 5 * factor, 2: 2 * factor, 4: 2 * factor}
+        )
     # The matrix's counts may be a multiple of the target's, too.
-    constructions._check_target("t", vcat([matrix] * 3), {0: 5, 2: 2, 4: 2})
+    constructions._check_target("t", cardinality(vcat([matrix] * 3)), {0: 5, 2: 2, 4: 2})
 
 
 def test_check_target_ignores_zero_counts():
-    constructions._check_target("t", build_EO(E, 2), {0: 1, 2: 1, 4: 1, 6: 0})
+    constructions._check_target("t", cardinality(build_EO(E, 2)), {0: 1, 2: 1, 4: 1, 6: 0})
 
 
 @pytest.mark.parametrize(
@@ -174,7 +254,7 @@ def test_check_target_ignores_zero_counts():
 )
 def test_check_target_rejects_other_counts(target):
     with pytest.raises(ConstructionMismatch):
-        constructions._check_target("t", build_EO(E, 2), target)
+        constructions._check_target("t", cardinality(build_EO(E, 2)), target)
 
 
 def test_implement_u_even_grid():

@@ -229,3 +229,58 @@ def test_no_module_global_mutable_state():
 )
 def test_global_state_scan_flags_each_kind(source, uses):
     assert _global_state_uses(source) == uses
+
+
+def _object_bypasses(source: str) -> list[str]:
+    """'scope: object.attr' for every call of `object.__new__` or
+    `object.__setattr__`, scope being the enclosing classes and functions."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and func.attr in ("__new__", "__setattr__")
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "object"
+            ):
+                found.append(f"{'.'.join(scope) or '<module>'}: object.{func.attr}")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_one_constructor_skips_the_partition_matrix_check():
+    # `_trusted` is the only way to a PartitionMatrix that `__post_init__`
+    # has not checked; `__post_init__` itself stores the rows it has checked,
+    # and LottoSpec stores its budgets as Fractions.
+    found = {
+        path.name: _object_bypasses(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "constructions.py": [
+            "PartitionMatrix.__post_init__: object.__setattr__",
+            "PartitionMatrix._trusted: object.__new__",
+            "PartitionMatrix._trusted: object.__setattr__",
+        ],
+        "general_lotto.py": ["LottoSpec.__post_init__: object.__setattr__"],
+    }
+
+
+def test_bypass_scan_names_each_scope():
+    source = (
+        "x = object.__new__(C)\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            object.__setattr__(self, 'a', 1)\n"
+        "        setattr(self, 'a', 1)\n"
+    )
+    assert _object_bypasses(source) == ["<module>: object.__new__", "C.f.g: object.__setattr__"]
