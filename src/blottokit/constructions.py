@@ -29,6 +29,7 @@ from .distributions import (
     base_vector,
     mean,
     normalized,
+    vbar_counts,
     vec_add,
     vec_scale,
 )
@@ -200,18 +201,18 @@ def vcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
 
 
 # A block of a glued matrix with its entry counts, known without a count of
-# the glued result: a core's counts are the ones `_rows_matrix` checked.
+# the glued result: a leaf's counts are the ones `_core` checked.
 _Piece = tuple[PartitionMatrix, IntVec]
 
 
 def _grids(kind: str, m: int, height: int, copies: int) -> list[_Piece]:
     """`copies` references to the grid matrix of `kind` and size m with its rows
     repeated `height` times; none, and nothing built, when copies <= 0.  The
-    grid is counted once, whatever `height` and `copies` are."""
+    grid is counted once, when built, whatever `height` and `copies` are."""
     if copies <= 0:
         return []
-    grid = build_EO(kind, m)
-    return [(vcat([grid] * height), vec_scale(height, cardinality(grid)))] * copies
+    grid, counts = _grid(kind, m)
+    return [(vcat([grid] * height), vec_scale(height, counts))] * copies
 
 
 def _zeros(height: int, width: int) -> list[_Piece]:
@@ -223,12 +224,6 @@ def _zeros(height: int, width: int) -> list[_Piece]:
 
 def _delta(count: int) -> IntVec:
     return {0: count} if count else {}
-
-
-def _vsigma(m: int) -> IntVec:
-    """Summed counts of the m two-spike base vectors V(m, j): 2i at even 2i,
-    2m-v at odd v, written in closed form (a test checks it against the sum)."""
-    return {v: 2 * m - v if v % 2 else v for v in range(1, 2 * m + 1)}
 
 
 # --- proposition targets ------------------------------------------------------
@@ -259,13 +254,19 @@ def _prop5_counts(m: int, K: int, budget: int) -> IntVec:
     r = budget - K * m
     if 2 * r <= K:
         return vec_add(
-            vec_scale(r, _vsigma(m)),
+            vec_scale(r, vbar_counts(m)),
             vec_scale(K * (m + 1) - r * (2 * m + 1), base_vector(U_ODD, m)),
         )
     return vec_add(
-        vec_scale(K - r, vec_add(_vsigma(m), base_vector(U_ODD, m))),
+        vec_scale(K - r, vec_add(vbar_counts(m), base_vector(U_ODD, m))),
         vec_scale((2 * r - K) * m, base_vector(U_ODD, m + 1)),
     )
+
+
+def _prop6_counts(m: int, K: int) -> IntVec:
+    """Zero spike, odd grid and interior even grid (defender budget 2m - 1)."""
+    counts = vec_add(_delta(K * m - 2 * m + 1), base_vector(U_ODD, m))
+    return vec_add(counts, base_vector(U_ODD_UP, m)) if m > 1 else counts
 
 
 def _prop7_counts(m: int, K: int, budget: int) -> IntVec:
@@ -294,17 +295,19 @@ def _prop10_counts(m: int, K: int, budget: int) -> IntVec:
 # `_zeros` give an empty list, and build nothing, for zero copies, so no
 # caller guards a count).  The core is its proposition at its own width and
 # budget, the Blotto-to-General-Lotto reduction (Hart 2008) at K = the core's
-# width, so `_rows_matrix` checks it exactly against the same counts function
-# that `_check_target` applies to the whole matrix up to scale; exact counts
-# also fix the core's m(m+1) rows.  Each piece carries its counts, so the
-# whole matrix is checked from its leaves without being counted again.
+# width, so `_core` checks it exactly against the same counts function that
+# `_check_target` applies to the whole matrix up to scale; exact counts also
+# fix the core's m(m+1) rows.  Grids are checked the same way when built.
+# Each piece carries its counts, so the whole matrix is checked from its
+# leaves without being counted again.
 #
 # A family is a list of blocks; a block is a named list of parts; a part is a
 # formula row repeated a computed number of times.  Empty index ranges and
 # zero repeat counts contribute no rows.  The odd-budget cores are even
 # families with one unit moved in every row: with `step` set, `_family_rows`
-# adds it to entry `column(block, part, k, n)`, where k is the row's place in
-# its part and n its place in its block.
+# asks `moves(block, part)` for (split, first, rest) and adds the step to
+# entry `first` of the part's first `split` rows and to entry `rest` of the
+# others.
 
 
 @dataclass(frozen=True)
@@ -321,53 +324,46 @@ class _Block:
     tag: int = 0
 
 
-_Column = Callable[[_Block, _Part, int, int], int]
+def _moved(row: tuple[int, ...], column: int, step: int) -> tuple[int, ...]:
+    return row[:column] + (row[column] + step,) + row[column + 1 :]
 
 
 def _family_rows(
-    blocks: Sequence[_Block], step: int = 0, column: _Column | None = None
-) -> Iterator[tuple[int, ...]]:
+    blocks: Sequence[_Block],
+    step: int = 0,
+    moves: Callable[[_Block, _Part], tuple[int, int, int]] | None = None,
+) -> list[tuple[int, ...]]:
+    rows: list[tuple[int, ...]] = []
     for block in blocks:
-        n = 0
         for part in block.parts:
             if part.reps < 0:
                 raise ConstructionMismatch(
                     f"{block.name},{block.tag}: negative repeat count {part.reps}"
                 )
-            row = part.row
-            for k in range(part.reps):
-                if step:
-                    c = column(block, part, k, n)
-                    yield row[:c] + (row[c] + step,) + row[c + 1 :]
-                else:
-                    yield row
-                n += 1
-
-
-def _rows_matrix(
-    family: str,
-    budget: int,
-    width: int,
-    rows: Iterable[tuple[int, ...]],
-    want_counts: IntVec,
-) -> PartitionMatrix:
-    try:
-        matrix = PartitionMatrix(budget, width, tuple(rows))
-    except DimensionMismatch as exc:
-        raise ConstructionMismatch(f"{family}: {exc}") from exc
-    got = cardinality(matrix)
-    if got != want_counts:
-        raise ConstructionMismatch(
-            f"{family}: cardinality {got} differs from target {want_counts}"
-        )
-    return matrix
+            if not step:
+                rows += [part.row] * part.reps
+                continue
+            split, first, rest = moves(block, part)
+            head = min(split, part.reps)
+            rows += [_moved(part.row, first, step)] * head
+            rows += [_moved(part.row, rest, step)] * (part.reps - head)
+    return rows
 
 
 def _core(
     family: str, budget: int, width: int, rows: Iterable[tuple[int, ...]], counts: IntVec
-) -> list[_Piece]:
-    """The one-piece list of a checked core and its counts."""
-    return [(_rows_matrix(family, budget, width, rows, counts), counts)]
+) -> _Piece:
+    """A leaf matrix and its entry counts, which must be exactly `counts`."""
+    try:
+        matrix = PartitionMatrix(budget, width, rows)
+    except DimensionMismatch as exc:
+        raise ConstructionMismatch(f"{family}: {exc}") from exc
+    got = cardinality(matrix)
+    if got != counts:
+        raise ConstructionMismatch(
+            f"{family}: cardinality {got} differs from target {counts}"
+        )
+    return matrix, counts
 
 
 def _check_target(builder: str, got: IntVec, target: IntVec) -> None:
@@ -402,35 +398,34 @@ def _glue(builder: str, pieces: Sequence[_Piece], target: IntVec) -> PartitionMa
 
 def build_EO(kind: str, m: int) -> PartitionMatrix:
     """Two-column (E/O) or three-column (RE/RO) grid matrix of size parameter m."""
+    return _grid(kind, m)[0]
+
+
+def _grid(kind: str, m: int) -> _Piece:
+    """`build_EO`'s matrix with the entry counts it was checked against: every
+    even (E, RE) or odd (O, RO) level of the grid twice (E, O) or three times
+    (RE, RO)."""
     if kind == E:
         if m < 1:
             raise BadM(f"E needs m >= 1, got {m}")
-        return PartitionMatrix(
-            2 * m, 2, tuple((2 * i, 2 * (m - i)) for i in range(m + 1))
-        )
+        rows = [(2 * i, 2 * (m - i)) for i in range(m + 1)]
+        return _core(f"E({m})", 2 * m, 2, rows, {2 * i: 2 for i in range(m + 1)})
     if kind == O:
         if m < 1:
             raise BadM(f"O needs m >= 1, got {m}")
-        return PartitionMatrix(
-            2 * m, 2, tuple((2 * i + 1, 2 * (m - i) - 1) for i in range(m))
-        )
+        rows = [(2 * i + 1, 2 * (m - i) - 1) for i in range(m)]
+        return _core(f"O({m})", 2 * m, 2, rows, {2 * i + 1: 2 for i in range(m)})
     if kind == RE:
         if m < 0 or m % 2:
             raise BadM(f"RE needs even m >= 0, got {m}")
-        if m == 0:
-            return PartitionMatrix(0, 3, ((0, 0, 0),))
         rows = [(2 * i, m + 2 * i, 2 * m - 4 * i) for i in range(m // 2 + 1)]
         rows += [(2 * i, m + 2 * i + 2, 2 * m - 4 * i - 2) for i in range(m // 2)]
-        return _rows_matrix(
-            f"RE({m})", 3 * m, 3, rows, vec_scale(3, base_vector(U_EVEN, m))
-        )
+        return _core(f"RE({m})", 3 * m, 3, rows, {2 * i: 3 for i in range(m + 1)})
     if kind == RO:
         if m < 1 or m % 2 == 0:
             raise BadM(f"RO needs odd m >= 1, got {m}")
-        shifted = (tuple(x + 1 for x in row) for row in build_EO(RE, m - 1).rows)
-        return _rows_matrix(
-            f"RO({m})", 3 * m, 3, shifted, vec_scale(3, base_vector(U_ODD, m))
-        )
+        shifted = [tuple(x + 1 for x in row) for row in build_EO(RE, m - 1).rows]
+        return _core(f"RO({m})", 3 * m, 3, shifted, {2 * i + 1: 3 for i in range(m)})
     raise BadIndex(f"unknown grid matrix kind {kind!r}")
 
 
@@ -524,22 +519,9 @@ def _s_blocks(m: int, r: int) -> list[_Block]:
 
 
 def _t1_reps(m: int, r: int, i: int) -> int:
-    low = r // 2 - 2
-    high = m - r + 3
-    branches = []
-    if i <= low - 1 and i <= high - 1:
-        branches.append(m - r + i + 4)
-    if high <= i <= low - 1:
-        branches.append(2 * m - 2 * r + 6)
-    if low <= i <= high - 1:
-        branches.append(m - r // 2 + 2)
-    if i >= low and i >= high:
-        branches.append(2 * m - 3 * (r // 2) - i + 4)
-    if len(branches) != 1:
-        raise ConstructionMismatch(
-            f"T-I repeat table matched {len(branches)} branches at m={m}, r={r}, i={i}"
-        )
-    return branches[0]
+    """Rows of T-I part i: the paper's four-branch table, split at
+    i = r/2 - 2 and i = m - r + 3, in one closed form."""
+    return m - r + 4 + min(i, r // 2 - 2) + min(0, m - r + 2 - i)
 
 
 def _t_blocks(m: int, r: int) -> list[_Block]:
@@ -623,9 +605,9 @@ def _t_blocks(m: int, r: int) -> list[_Block]:
     return blocks
 
 
-def _defence(core: list[_Piece], m: int, K: int, L: int) -> list[_Piece]:
+def _defence(core: _Piece, m: int, K: int, L: int) -> list[_Piece]:
     """The core, (L - 2)/2 copies of E(m) stacked m times, then K - L - 1 zeros."""
-    return core + _grids(E, m, m, (L - 2) // 2) + _zeros(m * (m + 1), K - L - 1)
+    return [core] + _grids(E, m, m, (L - 2) // 2) + _zeros(m * (m + 1), K - L - 1)
 
 
 def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
@@ -758,13 +740,15 @@ def build_prop4_A(m: int, K: int, A: int) -> PartitionMatrix:
         width, carry = 3, 2 - r % 2
         name, blocks = ("R2", _r2_blocks) if carry == 1 else ("R3", _r3_blocks)
         budget = 3 * m + carry
-        core = _core(
-            f"{name}({m})",
-            budget,
-            width,
-            _family_rows(blocks(m)),
-            _prop4_counts(m, width, budget),
-        )
+        core = [
+            _core(
+                f"{name}({m})",
+                budget,
+                width,
+                _family_rows(blocks(m)),
+                _prop4_counts(m, width, budget),
+            )
+        ]
     pieces = (
         core
         + _grids(O, m, m + 1, (K - width - (r - carry)) // 2)
@@ -789,9 +773,9 @@ def _staircases(m: int, copies: int) -> list[_Piece]:
             ),
         )
     ]
-    return _core(
-        f"R({m})", 2 * m + 1, 2, _family_rows(blocks), _prop5_counts(m, 2, 2 * m + 1)
-    ) * copies
+    return [
+        _core(f"R({m})", 2 * m + 1, 2, _family_rows(blocks), _prop5_counts(m, 2, 2 * m + 1))
+    ] * copies
 
 
 def _p1_tied_blocks(m: int) -> list[_Block]:
@@ -925,6 +909,12 @@ _P1_WIDE_COLUMN = {
     "S-VII": 1,
     "S-VIII": 1,
 }
+
+
+def _p1_wide_moves(block: _Block, part: _Part) -> tuple[int, int, int]:
+    """T4 is S3 with one unit added to a fixed column of each block."""
+    column = _P1_WIDE_COLUMN[block.name]
+    return 0, column, column
 
 
 def _p1_split_blocks(m: int) -> list[_Block]:
@@ -1178,19 +1168,17 @@ def _p1_pieces(m: int, K: int, r: int) -> list[_Piece]:
             _family_rows(_p1_single_blocks(m)),
             _prop5_counts(m, 5, 5 * m + 1),
         )
-        return single + _grids(O, m, m + 1, (K - 5) // 2)
+        return [single] + _grids(O, m, m + 1, (K - 5) // 2)
     elif K >= 5 and m <= 6:
         # The S5 split family fails its self-check at m = 2, 4 and 6.
         wide = _core(
             f"T4({m})",
             5 * m + 2,
             5,
-            _family_rows(
-                _p1_single_blocks(m), 1, lambda block, *_: _P1_WIDE_COLUMN[block.name]
-            ),
+            _family_rows(_p1_single_blocks(m), 1, _p1_wide_moves),
             _prop5_counts(m, 5, 5 * m + 2),
         )
-        return wide + _staircases(m, r - 2) + _grids(O, m, m + 1, (K - 1) // 2 - r)
+        return [wide] + _staircases(m, r - 2) + _grids(O, m, m + 1, (K - 1) // 2 - r)
     name, blocks = ("S2", _p1_tied_blocks) if m % 2 else ("S5", _p1_split_blocks)
     core = _core(
         f"{name}({m})",
@@ -1199,7 +1187,7 @@ def _p1_pieces(m: int, K: int, r: int) -> list[_Piece]:
         _family_rows(blocks(m)),
         _prop5_counts(m, 3, 3 * m + 1),
     )
-    return core + _staircases(m, r - 1) + _grids(O, m, m + 1, (K - 2 * r - 1) // 2)
+    return [core] + _staircases(m, r - 1) + _grids(O, m, m + 1, (K - 2 * r - 1) // 2)
 
 
 def _p2_pieces(m: int, K: int, r: int) -> list[_Piece]:
@@ -1219,7 +1207,7 @@ def _p2_pieces(m: int, K: int, r: int) -> list[_Piece]:
         _family_rows(blocks(m)),
         _prop5_counts(m, 3, 3 * m + 2),
     )
-    return tied + _staircases(m, K - r - 1) + _grids(O, m + 1, m, (2 * r - K - 1) // 2)
+    return [tied] + _staircases(m, K - r - 1) + _grids(O, m + 1, m, (2 * r - K - 1) // 2)
 
 
 def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
@@ -1251,15 +1239,9 @@ def build_prop6_B(m: int, K: int) -> PartitionMatrix:
     """Defender staircase for budget 2m-1: each level below 2m equally represented."""
     if m < 1 or K < 2:
         raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
-    rows = tuple(
-        tuple([i - 1, 2 * m - i] + [0] * (K - 2)) for i in range(1, m + 1)
-    )
-    matrix = PartitionMatrix(2 * m - 1, K, rows)
-    target = vec_add(_delta(K * m - 2 * m + 1), base_vector(U_ODD, m))
-    if m > 1:
-        target = vec_add(target, base_vector(U_ODD_UP, m))
-    _check_target("build_prop6_B", cardinality(matrix), target)
-    return matrix
+    rows = [(j, 2 * m - 1 - j) for j in range(m)]
+    core = _core(f"prop6({m})", 2 * m - 1, 2, rows, _prop6_counts(m, 2))
+    return _glue("build_prop6_B", [core] + _zeros(m, K - 2), _prop6_counts(m, K))
 
 
 def _full_width_rows(m: int) -> list[tuple[int, ...]]:
@@ -1285,8 +1267,11 @@ def _full_width_rows(m: int) -> list[tuple[int, ...]]:
     return lower + [(top - a, top - b, top - c) for a, b, c in lower if a < m]
 
 
-def _t_down_column(block: _Block, part: _Part, k: int, n: int) -> int:
-    return 1 if block.name == "T-I" else n % 2
+def _t_down_moves(block: _Block, part: _Part) -> tuple[int, int, int]:
+    """tilde-T (L even) takes its unit from the middle entry of every T-I row;
+    every other part has two rows and gives it from the first entry of the
+    first row and the middle entry of the second."""
+    return (0, 1, 1) if block.name == "T-I" else (1, 0, 1)
 
 
 def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
@@ -1308,49 +1293,41 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
         rows = _full_width_rows(m)
     else:
         if L % 2:
-            name, blocks, width, column = "S", _s_blocks, 4, lambda *_: 0
+            name, blocks, width, moves = "S", _s_blocks, 4, lambda *_: (0, 0, 0)
         else:
-            name, blocks, width, column = "T", _t_blocks, 3, _t_down_column
+            name, blocks, width, moves = "T", _t_blocks, 3, _t_down_moves
         name = f"tilde-{name}({m},{r})"
         budget = (width - 1) * m + r
-        rows = _family_rows(blocks(m, r + 1), -1, column)
+        rows = _family_rows(blocks(m, r + 1), -1, moves)
     core = _core(name, budget, width, rows, _prop7_counts(m, width, budget))
     return _glue("build_prop7_B", _defence(core, m, K, L), _prop7_counts(m, K, B))
 
 
-def _s_up_column(block: _Block, part: _Part, k: int, n: int) -> int:
+def _s_up_moves(block: _Block, part: _Part) -> tuple[int, int, int]:
+    """tilde-S (L odd) adds its unit to the first entry of every row, except
+    the second of S-I's two rows (third entry) and the first row of each
+    S-IV part (third entry)."""
     if block.name == "S-I":
-        if part.reps != 2:
-            raise ConstructionMismatch(
-                f"S-I part {part.index}: expected 2 rows, got {part.reps}"
-            )
-        return 2 * k
+        return 1, 0, 2
     if block.name == "S-IV":
-        return 2 if k == 0 else 0
-    return 0
+        return 1, 2, 0
+    return 0, 0, 0
 
 
-def _t_up_column(m: int, r: int) -> _Column:
-    half = r // 2
+def _t_up_moves(r: int) -> Callable[[_Block, _Part], tuple[int, int, int]]:
+    """tilde-T (L even) adds its unit to the first entry of a part's first
+    row (first two rows for T-I parts 1..r/2 - 1) and to the middle entry of
+    the rest; the T-II part whose index is its block's tag adds it to the
+    middle entry throughout."""
 
-    def column(block: _Block, part: _Part, k: int, n: int) -> int:
-        if block.name == "T-II":
-            return 1 if part.index == block.tag else k
-        if block.name != "T-I":
-            return n % 2
-        if 1 <= part.index <= half - 1:
-            if part.reps < 2:
-                raise ConstructionMismatch(
-                    f"T-I part {part.index}: needs 2 rows for the increment rule"
-                )
-            return 0 if k < 2 else 1
-        if part.index == 0 or half <= part.index <= m - half:
-            return 0 if k == 0 else 1
-        raise ConstructionMismatch(
-            f"T-I part {part.index}: outside both increment rules"
-        )
+    def moves(block: _Block, part: _Part) -> tuple[int, int, int]:
+        if block.name == "T-II" and part.index == block.tag:
+            return 0, 1, 1
+        if block.name == "T-I" and 1 <= part.index < r // 2:
+            return 2, 0, 1
+        return 1, 0, 1
 
-    return column
+    return moves
 
 
 def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
@@ -1368,9 +1345,9 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
     L, r = divmod(B - 1, m)
     name, width = ("S", 4) if L % 2 else ("T", 3)
     if L % 2:
-        rows = _family_rows(_s_blocks(m, r), 1, _s_up_column)
+        rows = _family_rows(_s_blocks(m, r), 1, _s_up_moves)
     elif r:
-        rows = _family_rows(_t_blocks(m, r), 1, _t_up_column(m, r))
+        rows = _family_rows(_t_blocks(m, r), 1, _t_up_moves(r))
     else:
         rows = [(0, 2 * i + 1, 2 * m - 2 * i) for _ in range(m) for i in range(m + 1)]
     budget = (width - 1) * m + r + 1

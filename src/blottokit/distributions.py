@@ -111,20 +111,25 @@ def base_dist(kind: str, m: int, j: int | None = None) -> Dist:
     return Dist.from_weights({p: Fraction(c, total) for p, c in counts.items()})
 
 
+def vbar_counts(m: int) -> IntVec:
+    """Summed counts of the V(j, m) family over j = 1..m.
+
+    2i - 1 appears once in V(i, m) and twice in each V(j, m) with j > i, so
+    2(m - i) + 1 times; 2i appears twice in each V(j, m) with j <= i, so 2i
+    times.
+    """
+    if m < 1:
+        raise BadM(f"vbar needs m >= 1, got {m}")
+    return {v: 2 * m - v if v % 2 else v for v in range(1, 2 * m + 1)}
+
+
 def vbar(m: int) -> Dist:
     """Uniform mixture of the V(j, m) family over j = 1..m.
 
     Every V(j, m) has total 2m + 1, so the mixture is the normalized sum of
-    their counts: 2i - 1 appears once in V(i, m) and twice in each V(j, m)
-    with j > i, and 2i twice in each V(j, m) with j <= i.
+    their counts.
     """
-    if m < 1:
-        raise BadM(f"vbar needs m >= 1, got {m}")
-    counts: IntVec = {}
-    for i in range(1, m + 1):
-        counts[2 * i - 1] = 1 + 2 * (m - i)
-        counts[2 * i] = 2 * i
-    return normalized(counts)
+    return normalized(vbar_counts(m))
 
 
 def mix(parts: Sequence[tuple[Rat | int, Dist]]) -> Dist:

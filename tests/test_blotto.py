@@ -326,6 +326,24 @@ def test_builder_matrix_bytes_are_pinned():
     )
 
 
+def test_large_m_builder_matrix_bytes_are_pinned():
+    """Every criterion-3 build at m in {16, 17}, K in {3, 5, 9}: large enough
+    that T-I's two-row split parts, T-VII and S5's R-V/R-VI blocks all fire."""
+    digest = hashlib.sha256()
+    built = 0
+    for m in (16, 17):
+        for K in (3, 5, 9):
+            for _, matrix, _, _ in feasible_builds(m, K):
+                blob = json.dumps(matrix_to_json(matrix), sort_keys=True)
+                digest.update((blob + "\n").encode())
+                built += 1
+    assert built == 606
+    assert (
+        digest.hexdigest()
+        == "5bfdbd977366cab0a16e708e82aab2794f5bb2c84862711a0812b6fe806dd29a"
+    )
+
+
 def test_odd_full_width_solves_without_search(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("solve searched")

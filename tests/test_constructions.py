@@ -10,7 +10,7 @@ from hashlib import sha256
 
 import pytest
 
-from blottokit import constructions
+from blottokit import constructions, distributions
 from blottokit.constructions import (
     E,
     O,
@@ -189,6 +189,43 @@ def test_each_leaf_is_counted_once(monkeypatch):
     assert sum(scanned) <= 546 + 28
 
 
+def test_each_grid_is_counted_once_where_it_is_built(monkeypatch):
+    scanned = []
+    count = constructions.cardinality
+
+    def scanning(matrix):
+        scanned.append(matrix.row_count * matrix.battlefields)
+        return count(matrix)
+
+    monkeypatch.setattr(constructions, "cardinality", scanning)
+    build_prop5_A(13, 7, 92, P1)
+    # The staircase R(13) (182 rows of 2), RE(12) inside RO(13) (13 rows of
+    # 3 each) and O(13) (13 rows of 2); counting RO(13) again would add 39.
+    assert sum(scanned) <= 364 + 39 + 39 + 26
+
+
+def test_prop6_validates_and_counts_only_its_two_column_leaves(monkeypatch):
+    validated, scanned = [], []
+    check = PartitionMatrix.__post_init__
+    count = constructions.cardinality
+
+    def recording(self):
+        validated.append(self.battlefields)
+        check(self)
+
+    def scanning(matrix):
+        scanned.append(matrix.battlefields)
+        return count(matrix)
+
+    monkeypatch.setattr(PartitionMatrix, "__post_init__", recording)
+    monkeypatch.setattr(constructions, "cardinality", scanning)
+    matrix = build_prop6_B(5, 4)
+    assert matrix.battlefields == 4
+    # The (j, 9 - j) core and the 2-column zero block, never the glued matrix.
+    assert set(validated) == {2}
+    assert scanned == [2]
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -212,7 +249,7 @@ def test_counts_from_leaves_still_catch_an_extra_grid(monkeypatch, build):
 def test_vsigma_is_the_sum_of_the_two_spike_vectors():
     for m in range(1, 30):
         spikes = [base_vector(V, m, j) for j in range(1, m + 1)]
-        assert constructions._vsigma(m) == vec_add(*spikes), m
+        assert distributions.vbar_counts(m) == vec_add(*spikes), m
 
 
 def test_composition_cardinality_additivity_randomized():
@@ -625,7 +662,7 @@ def test_counts_functions_are_the_lotto_closed_forms():
 )
 def test_bad_core_row_raises_construction_mismatch(rows):
     with pytest.raises(ConstructionMismatch, match=r"^tilde-T\(2,1\): row "):
-        constructions._rows_matrix("tilde-T(2,1)", 3, 3, rows, {})
+        constructions._core("tilde-T(2,1)", 3, 3, rows, {})
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -636,11 +673,11 @@ def test_core_row_count_is_fixed_by_its_counts(m, fault):
     # rejects a wrong height.
     rows = list(constructions._family_rows(constructions._r2_blocks(m)))
     counts = constructions._prop4_counts(m, 3, 3 * m + 1)
-    core = constructions._rows_matrix(f"R2({m})", 3 * m + 1, 3, rows, counts)
+    core, _ = constructions._core(f"R2({m})", 3 * m + 1, 3, rows, counts)
     assert core.row_count == m * (m + 1)
     bad = rows[1:] if fault == "missing-row" else rows + rows[:1]
     with pytest.raises(ConstructionMismatch, match=rf"^R2\({m}\): cardinality "):
-        constructions._rows_matrix(f"R2({m})", 3 * m + 1, 3, bad, counts)
+        constructions._core(f"R2({m})", 3 * m + 1, 3, bad, counts)
 
 
 def test_negative_repeat_count_raises_construction_mismatch():
@@ -654,7 +691,7 @@ def test_negative_repeat_count_raises_construction_mismatch():
     with pytest.raises(ConstructionMismatch, match="T-II,2: negative repeat count -1"):
         list(constructions._family_rows(blocks))
     with pytest.raises(ConstructionMismatch, match="negative repeat count"):
-        list(constructions._family_rows(blocks, 1, lambda *_: 0))
+        list(constructions._family_rows(blocks, 1, lambda *_: (0, 0, 0)))
 
 
 def test_family_rows_moves_the_chosen_entry_of_every_row():
@@ -663,18 +700,49 @@ def test_family_rows_moves_the_chosen_entry_of_every_row():
             "X", (constructions._Part(0, (4, 4), 2), constructions._Part(1, (6, 2), 1))
         ),
         constructions._Block("Y", (constructions._Part(0, (2, 6), 3),)),
+        constructions._Block("Z", (constructions._Part(0, (5, 5), 2),)),
     ]
-    places = []
+    # X,0 splits inside the part, X,1 and Z,0 have split >= reps (every row
+    # takes `first`), Y,0 has split 0 (every row takes `rest`).
+    rules = {
+        ("X", 0): (1, 0, 1),
+        ("X", 1): (1, 1, 0),
+        ("Y", 0): (0, 0, 1),
+        ("Z", 0): (5, 1, 0),
+    }
+    asked = []
 
-    def column(block, part, k, n):
-        places.append((block.name, part.index, k, n))
-        return n % 2
+    def moves(block, part):
+        asked.append((block.name, part.index))
+        return rules[block.name, part.index]
 
-    rows = list(constructions._family_rows(blocks, -1, column))
-    assert rows == [(3, 4), (4, 3), (5, 2), (1, 6), (2, 5), (1, 6)]
-    assert places == [
-        ("X", 0, 0, 0), ("X", 0, 1, 1), ("X", 1, 0, 2),
-        ("Y", 0, 0, 0), ("Y", 0, 1, 1), ("Y", 0, 2, 2),
-    ]
-    unmoved = [(4, 4), (4, 4), (6, 2), (2, 6), (2, 6), (2, 6)]
-    assert list(constructions._family_rows(blocks)) == unmoved
+    rows = constructions._family_rows(blocks, -1, moves)
+    assert rows == [(3, 4), (4, 3), (6, 1), (2, 5), (2, 5), (2, 5), (5, 4), (5, 4)]
+    # One question per part, none per row.
+    assert asked == [("X", 0), ("X", 1), ("Y", 0), ("Z", 0)]
+    unmoved = [(4, 4), (4, 4), (6, 2), (2, 6), (2, 6), (2, 6), (5, 5), (5, 5)]
+    assert constructions._family_rows(blocks) == unmoved
+
+
+def test_t1_reps_closed_form_matches_the_four_branch_table():
+    def table(m, r, i):
+        low, high = r // 2 - 2, m - r + 3
+        branches = []
+        if i <= low - 1 and i <= high - 1:
+            branches.append(m - r + i + 4)
+        if high <= i <= low - 1:
+            branches.append(2 * m - 2 * r + 6)
+        if low <= i <= high - 1:
+            branches.append(m - r // 2 + 2)
+        if i >= low and i >= high:
+            branches.append(2 * m - 3 * (r // 2) - i + 4)
+        assert len(branches) == 1, (m, r, i)
+        return branches[0]
+
+    checked = 0
+    for m in range(2, 80):
+        for r in range(2, m + 1, 2):
+            for i in range(m - r // 2 + 1):
+                assert constructions._t1_reps(m, r, i) == table(m, r, i), (m, r, i)
+                checked += 1
+    assert checked == 63180
