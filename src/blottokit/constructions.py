@@ -303,8 +303,9 @@ def _prop10_counts(m: int, K: int, budget: int) -> IntVec:
 #
 # A family is a list of blocks; a block is a named list of parts; a part is a
 # formula row repeated a computed number of times.  Empty index ranges and
-# zero repeat counts contribute no rows.  The odd-budget cores are even
-# families with one unit moved in every row: with `step` set, `_family_rows`
+# zero repeat counts contribute no rows.  The odd-budget cores (`_st_core`'s
+# tilde-S and tilde-T, and T4) are even families with one unit moved in
+# every row: with `step` set, `_family_rows`
 # asks `moves(block, part)` for (split, first, rest) and adds the step to
 # entry `first` of the part's first `split` rows and to entry `rest` of the
 # others.
@@ -386,9 +387,17 @@ def _check_target(builder: str, got: IntVec, target: IntVec) -> None:
         )
 
 
-def _glue(builder: str, pieces: Sequence[_Piece], target: IntVec) -> PartitionMatrix:
-    """The pieces side by side, checked against `target` through their counts."""
+def _glue(
+    builder: str, pieces: Sequence[_Piece], target: IntVec, budget: int, K: int
+) -> PartitionMatrix:
+    """The pieces side by side, checked against `target` through their counts
+    and against the builder's `budget` and K, which catch a lost block."""
     matrix = hcat([block for block, _ in pieces])
+    if (matrix.budget, matrix.battlefields) != (budget, K):
+        raise ConstructionMismatch(
+            f"{builder}: glued matrix has budget {matrix.budget} over "
+            f"{matrix.battlefields} columns, expected {budget} over {K}"
+        )
     _check_target(builder, vec_add(*(counts for _, counts in pieces)), target)
     return matrix
 
@@ -424,8 +433,10 @@ def _grid(kind: str, m: int) -> _Piece:
     if kind == RO:
         if m < 1 or m % 2 == 0:
             raise BadM(f"RO needs odd m >= 1, got {m}")
-        shifted = [tuple(x + 1 for x in row) for row in build_EO(RE, m - 1).rows]
-        return _core(f"RO({m})", 3 * m, 3, shifted, {2 * i + 1: 3 for i in range(m)})
+        # RE(m - 1) shifted up by one in every entry.
+        rows = [(2 * i + 1, m + 2 * i, 2 * m - 1 - 4 * i) for i in range((m + 1) // 2)]
+        rows += [(2 * i + 1, m + 2 * i + 2, 2 * m - 3 - 4 * i) for i in range((m - 1) // 2)]
+        return _core(f"RO({m})", 3 * m, 3, rows, {2 * i + 1: 3 for i in range(m)})
     raise BadIndex(f"unknown grid matrix kind {kind!r}")
 
 
@@ -446,7 +457,7 @@ def implement_u(kind: str, m: int, C: int, K: int) -> PartitionMatrix:
             f"odd grid needs budget and battlefield count of equal parity, "
             f"got C={C}, K={K}"
         )
-    return _glue("implement_u", _uniform_pieces(kind, m, K), base_vector(kind, m))
+    return _glue("implement_u", _uniform_pieces(kind, m, K), base_vector(kind, m), C, K)
 
 
 def _uniform_pieces(kind: str, m: int, K: int) -> list[_Piece]:
@@ -610,6 +621,28 @@ def _defence(core: _Piece, m: int, K: int, L: int) -> list[_Piece]:
     return [core] + _grids(E, m, m, (L - 2) // 2) + _zeros(m * (m + 1), K - L - 1)
 
 
+def _st_core(
+    m: int, L: int, r: int, step: int, counts: Callable[[int, int, int], IntVec]
+) -> _Piece:
+    """The defender core of Props. 3, 7 and 10: S(m, r), 4 columns, when L is
+    odd, T(m, r), 3 columns, when L is even, with `step` (0, +1 or -1)
+    added to one entry of every row, checked against its proposition's
+    `counts`.  A tilde core's name keeps its builder's r: B mod m for
+    Prop. 7, whose family is taken at r + 1, and (B - 1) mod m for Prop. 10.
+    """
+    if L % 2:
+        name, blocks, width = "S", _s_blocks(m, r), 4
+        moves = _s_up_moves if step > 0 else _s_down_moves
+    else:
+        name, blocks, width = "T", _t_blocks(m, r), 3
+        moves = _t_up_moves(r) if step > 0 else _t_down_moves
+    budget = (width - 1) * m + r + step
+    label = f"tilde-{name}({m},{r + min(step, 0)})" if step else f"{name}({m},{r})"
+    return _core(
+        label, budget, width, _family_rows(blocks, step, moves), counts(m, width, budget)
+    )
+
+
 def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
     """Defender matrix for even B in [2m, Km]: zero spike blended with the even grid."""
     if m < 1 or K < 2:
@@ -624,17 +657,8 @@ def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
     elif L % 2 == 0 and r == 0:
         pieces = _grids(E, m, 1, L // 2) + _zeros(m + 1, K - L)
     else:
-        name, blocks, width = ("S", _s_blocks, 4) if L % 2 else ("T", _t_blocks, 3)
-        budget = (width - 1) * m + r
-        core = _core(
-            f"{name}({m},{r})",
-            budget,
-            width,
-            _family_rows(blocks(m, r)),
-            _prop3_counts(m, width, budget),
-        )
-        pieces = _defence(core, m, K, L)
-    return _glue("build_prop3_B", pieces, _prop3_counts(m, K, B))
+        pieces = _defence(_st_core(m, L, r, 0, _prop3_counts), m, K, L)
+    return _glue("build_prop3_B", pieces, _prop3_counts(m, K, B), B, K)
 
 
 # --- attacker matrices for budgets of matching parity -----------------------
@@ -754,7 +778,7 @@ def build_prop4_A(m: int, K: int, A: int) -> PartitionMatrix:
         + _grids(O, m, m + 1, (K - width - (r - carry)) // 2)
         + _grids(O, m + 1, m, (r - carry) // 2)
     )
-    return _glue("build_prop4_A", pieces, _prop4_counts(m, K, A))
+    return _glue("build_prop4_A", pieces, _prop4_counts(m, K, A), A, K)
 
 
 # --- attacker matrices for budgets of mismatched parity ----------------------
@@ -1150,64 +1174,47 @@ def _p2_odd_blocks(m: int) -> list[_Block]:
     return blocks
 
 
-def _p1_pieces(m: int, K: int, r: int) -> list[_Piece]:
-    if K % 2 == 0:
-        return _staircases(m, r) + _grids(O, m, m + 1, K // 2 - r)
-    if m % 2:
-        if K != 2 * r + 1:
-            return (
-                _staircases(m, r)
-                + _grids(RO, m, m + 1, 1)
-                + _grids(O, m, m + 1, (K - 3) // 2 - r)
-            )
+def _prop5_core(m: int, K: int, r: int, point: str) -> tuple[list[_Piece], int, int]:
+    """The core that leads an odd-K Prop. 5 matrix with no RO grid, its width
+    w and the number of staircases it stands in for."""
+    if point == P2:
+        name, blocks = ("Y3", _p2_odd_blocks) if m % 2 else ("Y2", _p2_even_blocks)
+        width, staircases, rows = 3, 1, _family_rows(blocks(m))
+    elif m % 2:
+        name, width, staircases, rows = "S2", 3, 1, _family_rows(_p1_tied_blocks(m))
     elif K >= 5 and r == 1:
-        single = _core(
-            f"S3({m})",
-            5 * m + 1,
-            5,
-            _family_rows(_p1_single_blocks(m)),
-            _prop5_counts(m, 5, 5 * m + 1),
-        )
-        return [single] + _grids(O, m, m + 1, (K - 5) // 2)
+        name, width, staircases, rows = "S3", 5, 1, _family_rows(_p1_single_blocks(m))
     elif K >= 5 and m <= 6:
         # The S5 split family fails its self-check at m = 2, 4 and 6.
-        wide = _core(
-            f"T4({m})",
-            5 * m + 2,
-            5,
-            _family_rows(_p1_single_blocks(m), 1, _p1_wide_moves),
-            _prop5_counts(m, 5, 5 * m + 2),
-        )
-        return [wide] + _staircases(m, r - 2) + _grids(O, m, m + 1, (K - 1) // 2 - r)
-    name, blocks = ("S2", _p1_tied_blocks) if m % 2 else ("S5", _p1_split_blocks)
-    core = _core(
-        f"{name}({m})",
-        3 * m + 1,
-        3,
-        _family_rows(blocks(m)),
-        _prop5_counts(m, 3, 3 * m + 1),
-    )
-    return [core] + _staircases(m, r - 1) + _grids(O, m, m + 1, (K - 2 * r - 1) // 2)
+        name, width, staircases = "T4", 5, 2
+        rows = _family_rows(_p1_single_blocks(m), 1, _p1_wide_moves)
+    else:
+        name, width, staircases, rows = "S5", 3, 1, _family_rows(_p1_split_blocks(m))
+    # The core carries the units above the mean m of the columns it replaces:
+    # one per staircase, and at P2 one per column of O(m + 1) grid.
+    budget = width * m + (staircases if point == P1 else width - staircases)
+    core = _core(f"{name}({m})", budget, width, rows, _prop5_counts(m, width, budget))
+    return [core], width, staircases
 
 
-def _p2_pieces(m: int, K: int, r: int) -> list[_Piece]:
-    if K % 2 == 0:
-        return _staircases(m, K - r) + _grids(O, m + 1, m, r - K // 2)
-    if m % 2 == 0 and K != 2 * r - 1:
-        return (
-            _staircases(m, K - r)
-            + _grids(RO, m + 1, m, 1)
-            + _grids(O, m + 1, m, r - (K + 3) // 2)
-        )
-    name, blocks = ("Y3", _p2_odd_blocks) if m % 2 else ("Y2", _p2_even_blocks)
-    tied = _core(
-        f"{name}({m})",
-        3 * m + 2,
-        3,
-        _family_rows(blocks(m)),
-        _prop5_counts(m, 3, 3 * m + 2),
+def _prop5_pieces(m: int, K: int, r: int, point: str) -> list[_Piece]:
+    """Prop. 5's ladder: s staircases beside O(g) grids h rows high, with
+    (s, g, h) = (r, m, m + 1) at P1 and (K - r, m + 1, m) at P2.  An odd K
+    puts one RO(g) grid between them when g is odd and K != 2s + 1, and
+    otherwise leads with a core of width w in place of rho staircases."""
+    s, g, h = (r, m, m + 1) if point == P1 else (K - r, m + 1, m)
+    lead, width, rho, middle = [], 0, 0, 0
+    if K % 2 and g % 2 and K != 2 * s + 1:
+        width, middle = 3, 1
+    elif K % 2:
+        lead, width, rho = _prop5_core(m, K, r, point)
+    stairs = s - rho
+    return (
+        lead
+        + _staircases(m, stairs)
+        + _grids(RO, g, h, middle)
+        + _grids(O, g, h, (K - width) // 2 - stairs)
     )
-    return [tied] + _staircases(m, K - r - 1) + _grids(O, m + 1, m, (2 * r - K - 1) // 2)
 
 
 def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
@@ -1222,14 +1229,13 @@ def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
             raise BadAlpha(f"P1 needs A mod K at most K/2, got {r} over K={K}")
         if K == 3 and m in (2, 4, 6):
             raise ExcludedCase(f"no P1 construction for K=3 with m={m}")
-        pieces = _p1_pieces(m, K, r)
     elif point == P2:
         if 2 * r <= K:
             raise BadAlpha(f"P2 needs A mod K above K/2, got {r} over K={K}")
-        pieces = _p2_pieces(m, K, r)
     else:
         raise BadCase(f"point must be P1 or P2, got {point!r}")
-    return _glue("build_prop5_A", pieces, _prop5_counts(m, K, A))
+    pieces = _prop5_pieces(m, K, r, point)
+    return _glue("build_prop5_A", pieces, _prop5_counts(m, K, A), A, K)
 
 
 # --- defender matrices for odd budgets ---------------------------------------
@@ -1241,7 +1247,9 @@ def build_prop6_B(m: int, K: int) -> PartitionMatrix:
         raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
     rows = [(j, 2 * m - 1 - j) for j in range(m)]
     core = _core(f"prop6({m})", 2 * m - 1, 2, rows, _prop6_counts(m, 2))
-    return _glue("build_prop6_B", [core] + _zeros(m, K - 2), _prop6_counts(m, K))
+    return _glue(
+        "build_prop6_B", [core] + _zeros(m, K - 2), _prop6_counts(m, K), 2 * m - 1, K
+    )
 
 
 def _full_width_rows(m: int) -> list[tuple[int, ...]]:
@@ -1267,6 +1275,11 @@ def _full_width_rows(m: int) -> list[tuple[int, ...]]:
     return lower + [(top - a, top - b, top - c) for a, b, c in lower if a < m]
 
 
+def _s_down_moves(block: _Block, part: _Part) -> tuple[int, int, int]:
+    """tilde-S (L odd) takes its unit from the first entry of every row."""
+    return 0, 0, 0
+
+
 def _t_down_moves(block: _Block, part: _Part) -> tuple[int, int, int]:
     """tilde-T (L even) takes its unit from the middle entry of every T-I row;
     every other part has two rows and gives it from the first entry of the
@@ -1289,18 +1302,11 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
         raise InfeasibleRange(f"budget {B} outside ({2 * m}, {K * m}]")
     L, r = divmod(B, m)
     if L == K:
-        name, width, budget = f"full-width core({m})", 3, 3 * m
         rows = _full_width_rows(m)
+        core = _core(f"full-width core({m})", 3 * m, 3, rows, _prop7_counts(m, 3, 3 * m))
     else:
-        if L % 2:
-            name, blocks, width, moves = "S", _s_blocks, 4, lambda *_: (0, 0, 0)
-        else:
-            name, blocks, width, moves = "T", _t_blocks, 3, _t_down_moves
-        name = f"tilde-{name}({m},{r})"
-        budget = (width - 1) * m + r
-        rows = _family_rows(blocks(m, r + 1), -1, moves)
-    core = _core(name, budget, width, rows, _prop7_counts(m, width, budget))
-    return _glue("build_prop7_B", _defence(core, m, K, L), _prop7_counts(m, K, B))
+        core = _st_core(m, L, r + 1, -1, _prop7_counts)
+    return _glue("build_prop7_B", _defence(core, m, K, L), _prop7_counts(m, K, B), B, K)
 
 
 def _s_up_moves(block: _Block, part: _Part) -> tuple[int, int, int]:
@@ -1343,22 +1349,12 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
     if not 2 * m + 1 <= B <= K * m:
         raise InfeasibleRange(f"budget {B} outside [{2 * m + 1}, {K * m}]")
     L, r = divmod(B - 1, m)
-    name, width = ("S", 4) if L % 2 else ("T", 3)
-    if L % 2:
-        rows = _family_rows(_s_blocks(m, r), 1, _s_up_moves)
-    elif r:
-        rows = _family_rows(_t_blocks(m, r), 1, _t_up_moves(r))
+    if L % 2 or r:
+        core = _st_core(m, L, r, 1, _prop10_counts)
     else:
         rows = [(0, 2 * i + 1, 2 * m - 2 * i) for _ in range(m) for i in range(m + 1)]
-    budget = (width - 1) * m + r + 1
-    core = _core(
-        f"tilde-{name}({m},{r})",
-        budget,
-        width,
-        rows,
-        _prop10_counts(m, width, budget),
-    )
-    return _glue("build_prop10_B", _defence(core, m, K, L), _prop10_counts(m, K, B))
+        core = _core(f"tilde-T({m},0)", 2 * m + 1, 3, rows, _prop10_counts(m, 3, 2 * m + 1))
+    return _glue("build_prop10_B", _defence(core, m, K, L), _prop10_counts(m, K, B), B, K)
 
 
 # --- exhaustive search --------------------------------------------------------

@@ -82,8 +82,6 @@ def lotto_value(spec: LottoSpec) -> Rat:
     """Exact value of the game for the stronger player."""
     m, alpha, b = spec.m, spec.alpha, spec.b
     _check_scope(spec)
-    if alpha == 0:
-        return 1 - Fraction(b, m)
     value = 1 - (1 - alpha) * b / m - alpha * b / (m + 1)
     if spec.c is not None:
         value += spec.c * min(alpha, 1 - alpha) / (m * (m + 1))
@@ -94,8 +92,6 @@ def lotto_optimal_A(spec: LottoSpec) -> Dist:
     """Canonical optimal strategy of the stronger player."""
     m, alpha = spec.m, spec.alpha
     _check_scope(spec)
-    if alpha == 0:
-        return base_dist(U_ODD, m)
     if spec.c is None:
         return mix(
             [(1 - alpha, base_dist(U_ODD, m)), (alpha, base_dist(U_ODD, m + 1))]
@@ -131,16 +127,12 @@ def lotto_optimal_B(spec: LottoSpec, uniform_member: bool = False) -> Dist:
             f"the uniform member exists only for integer budgets, got a={spec.a}"
         )
     _check_scope(spec)
-    if alpha == 0:
+    if spec.c is None:
         if uniform_member:
             inner = normalized({value: 1 for value in range(1, 2 * m)})
         else:
             inner = base_dist(U_EVEN, m)
-        return mix([(1 - Fraction(b, m), point_mass(0)), (Fraction(b, m), inner)])
-    if spec.c is None:
-        return mix(
-            [(1 - b / m, point_mass(0)), (b / m, base_dist(U_EVEN, m))]
-        )
+        return mix([(1 - b / m, point_mass(0)), (b / m, inner)])
     if 2 * alpha < 1:
         return mix(
             [

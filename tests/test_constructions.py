@@ -93,6 +93,9 @@ def test_build_RO_shifts_RE():
     assert cardinality(ro3) == {1: 3, 3: 3, 5: 3}
     assert ro3.budget == 9
     assert ro3.to_dist() == base_dist(U_ODD, 3)
+    for m in range(1, 40, 2):
+        shifted = tuple(tuple(x + 1 for x in row) for row in build_EO(RE, m - 1).rows)
+        assert build_EO(RO, m).rows == shifted
 
 
 def test_build_EO_rejects_bad_m():
@@ -199,9 +202,10 @@ def test_each_grid_is_counted_once_where_it_is_built(monkeypatch):
 
     monkeypatch.setattr(constructions, "cardinality", scanning)
     build_prop5_A(13, 7, 92, P1)
-    # The staircase R(13) (182 rows of 2), RE(12) inside RO(13) (13 rows of
-    # 3 each) and O(13) (13 rows of 2); counting RO(13) again would add 39.
-    assert sum(scanned) <= 364 + 39 + 39 + 26
+    # The staircase R(13) (182 rows of 2), RO(13) (13 rows of 3) and O(13)
+    # (13 rows of 2); counting RO(13) again, or an RE(12) to shift into it,
+    # would add 39.
+    assert sum(scanned) <= 364 + 39 + 26
 
 
 def test_prop6_validates_and_counts_only_its_two_column_leaves(monkeypatch):
@@ -231,9 +235,10 @@ def test_prop6_validates_and_counts_only_its_two_column_leaves(monkeypatch):
     [
         lambda: build_prop3_B(4, 6, 18),
         lambda: build_prop5_A(13, 7, 93, P1),
+        lambda: build_prop5_A(8, 7, 61, P2),
         lambda: build_prop7_B(13, 7, 91),
     ],
-    ids=["prop3", "prop5-P1", "prop7"],
+    ids=["prop3", "prop5-P1", "prop5-P2", "prop7"],
 )
 def test_counts_from_leaves_still_catch_an_extra_grid(monkeypatch, build):
     grids = constructions._grids
@@ -243,6 +248,57 @@ def test_counts_from_leaves_still_catch_an_extra_grid(monkeypatch, build):
         lambda kind, m, height, copies: grids(kind, m, height, copies + 1),
     )
     with pytest.raises(ConstructionMismatch):
+        build()
+
+
+@pytest.mark.parametrize(
+    "builder, args, leaves",
+    [
+        (build_prop3_B, (4, 6, 14), ["S(4,2)"]),
+        (build_prop3_B, (4, 6, 18), ["T(4,2)", "E(4)"]),
+        (build_prop7_B, (4, 6, 15), ["tilde-S(4,3)"]),
+        (build_prop7_B, (4, 6, 17), ["tilde-T(4,1)", "E(4)"]),
+        (build_prop7_B, (5, 5, 25), ["full-width core(5)", "E(5)"]),
+        (build_prop10_B, (4, 6, 15), ["tilde-S(4,2)"]),
+        (build_prop10_B, (4, 6, 19), ["tilde-T(4,2)", "E(4)"]),
+        (build_prop10_B, (4, 6, 17), ["tilde-T(4,0)", "E(4)"]),
+        (build_prop5_A, (7, 7, 51, P1), ["R(7)", "RO(7)"]),
+        (build_prop5_A, (7, 7, 52, P1), ["S2(7)", "R(7)"]),
+        (build_prop5_A, (8, 7, 57, P1), ["S3(8)", "O(8)"]),
+        (build_prop5_A, (4, 7, 31, P1), ["T4(4)", "R(4)"]),
+        (build_prop5_A, (8, 7, 59, P1), ["S5(8)", "R(8)"]),
+        (build_prop5_A, (7, 7, 54, P2), ["Y3(7)", "R(7)", "O(8)"]),
+        (build_prop5_A, (8, 7, 60, P2), ["Y2(8)", "R(8)"]),
+    ],
+)
+def test_each_branch_builds_its_named_leaves(monkeypatch, builder, args, leaves):
+    # The labels name the family and, for the S/T cores, the budget mod m
+    # (B - 1 mod m for Prop. 10); error messages carry them.
+    built = []
+    core = constructions._core
+
+    def recording(family, *rest):
+        built.append(family)
+        return core(family, *rest)
+
+    monkeypatch.setattr(constructions, "_core", recording)
+    builder(*args)
+    assert built == leaves
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: implement_u(U_EVEN, 2, 8, 4), lambda: build_prop3_B(2, 4, 8)],
+    ids=["implement_u", "prop3-full-width"],
+)
+def test_glue_catches_a_dropped_block(monkeypatch, build):
+    # Two E(2) grids less one still have the even grid's counts in proportion;
+    # only the glued matrix's budget and width show the loss.
+    pieces = constructions._uniform_pieces
+    monkeypatch.setattr(
+        constructions, "_uniform_pieces", lambda kind, m, K: pieces(kind, m, K)[:-1]
+    )
+    with pytest.raises(ConstructionMismatch, match="expected 8 over 4"):
         build()
 
 

@@ -1,4 +1,5 @@
-"""Package-wide invariants: error hierarchy, import graph, no module-global mutable state."""
+"""Package-wide invariants: error hierarchy, import graph, no module-global mutable state,
+no unused import or unreferenced private name."""
 
 from __future__ import annotations
 
@@ -284,3 +285,83 @@ def test_bypass_scan_names_each_scope():
         "        setattr(self, 'a', 1)\n"
     )
     assert _object_bypasses(source) == ["<module>: object.__new__", "C.f.g: object.__setattr__"]
+
+
+# Imports that no code of their module uses, kept because the benchmark
+# harness looks them up through `vars(module)[name]`.
+_BENCH_LOOKUPS = {
+    "constructions": {"mix"},
+    "blotto": {"generic_implement", "mix", "lotto_optimal_A", "lotto_optimal_B"},
+}
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, the strings of its `__all__` included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _dead_names(sources: dict[str, str]) -> list[str]:
+    """'module: import name' for every module-level import that its module
+    never reads, and 'module: name' for every private module-level name that
+    no module of `sources` reads, imports or takes as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = {module: _loaded_names(tree) for module, tree in trees.items()}
+    referenced = set().union(*loaded.values())
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in trees.items():
+        kept = loaded[module] | _BENCH_LOOKUPS.get(module, set())
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) != "__future__"
+            ):
+                names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                found += [f"{module}: import {name}" for name in names if name not in kept]
+        found += [
+            f"{module}: {name}"
+            for name in sorted(_module_names(tree))
+            if name.startswith("_") and not name.startswith("__") and name not in referenced
+        ]
+    return found
+
+
+def test_no_unused_import_or_unreferenced_private_name():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert _dead_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, dead",
+    [
+        ({"m": "from __future__ import annotations\nimport os\nos.sep\n"}, []),
+        ({"m": "import os\n"}, ["m: import os"]),
+        ({"m": "import os.path\nos.path.sep\n"}, []),
+        ({"m": "from .x import y as z\ny\n"}, ["m: import z"]),
+        ({"m": "from .x import y\n__all__ = ['y']\n"}, []),
+        ({"constructions": "from .distributions import mix\n"}, []),
+        ({"verify": "from .distributions import mix\n"}, ["verify: import mix"]),
+        ({"m": "_X = 1\n"}, ["m: _X"]),
+        ({"m": "_X = 1\ndef f():\n    return _X\n"}, []),
+        ({"m": "def _f():\n    pass\nclass _C:\n    pass\n"}, ["m: _C", "m: _f"]),
+        ({"m": "def _f():\n    pass\n", "n": "from .m import _f\n"}, ["n: import _f"]),
+        ({"m": "def _f():\n    pass\n", "n": "from . import m\nm._f()\n"}, []),
+        ({"m": "X = 1\n__all__ = []\n"}, []),
+    ],
+)
+def test_dead_name_scan_flags_each_kind(sources, dead):
+    assert _dead_names(sources) == dead
