@@ -391,8 +391,12 @@ def _glue(
     builder: str, pieces: Sequence[_Piece], target: IntVec, budget: int, K: int
 ) -> PartitionMatrix:
     """The pieces side by side, checked against `target` through their counts
-    and against the builder's `budget` and K, which catch a lost block."""
-    matrix = hcat([block for block, _ in pieces])
+    and against the builder's `budget` and K, which catch a lost block; pieces
+    of unequal heights raise `ConstructionMismatch` naming the builder."""
+    try:
+        matrix = hcat([block for block, _ in pieces])
+    except DimensionMismatch as exc:
+        raise ConstructionMismatch(f"{builder}: {exc}") from exc
     if (matrix.budget, matrix.battlefields) != (budget, K):
         raise ConstructionMismatch(
             f"{builder}: glued matrix has budget {matrix.budget} over "

@@ -4,13 +4,15 @@ IntVec is a plain counts map (support point -> multiplicity); Dist is an
 immutable exact probability distribution. The five base families (odd grid,
 even grid, interior-even grid, and the two two-spike patterns) are the
 building blocks of every optimal strategy emitted by the solver.
+`gain_table` and `upper_hull` tabulate a reply's gain against a counts map
+and its concave envelope, for the best-reply oracles and the certifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadIndex, BadM, BadWeights, MalformedJSON
 from .exactmath import Rat, format_rat, parse_rat
@@ -188,6 +190,33 @@ def gain_table(counts: Mapping[int, int], top: int) -> list[int]:
             index += 1
         table.append(2 * below + counts.get(t, 0) - total)
     return table
+
+
+class Hull(NamedTuple):
+    """Vertices of an upper concave hull, by increasing x."""
+
+    xs: list[int]
+    ys: list[int]
+
+
+def upper_hull(gain: Sequence[int], points: range) -> Hull:
+    """Upper concave hull of (t, gain[t]) for t in the increasing `points`.
+
+    Collinear points are dropped, so consecutive vertices bound its faces.
+    """
+    xs: list[int] = []
+    ys: list[int] = []
+    for x in points:
+        y = gain[x]
+        # Pop the last vertex while it lies on or below the chord to (x, y).
+        while len(xs) >= 2 and (
+            (ys[-1] - ys[-2]) * (x - xs[-2]) <= (y - ys[-2]) * (xs[-1] - xs[-2])
+        ):
+            xs.pop()
+            ys.pop()
+        xs.append(x)
+        ys.append(y)
+    return Hull(xs, ys)
 
 
 def normalized(counts: Mapping[int, int]) -> Dist:

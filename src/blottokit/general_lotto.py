@@ -14,10 +14,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .distributions import (
     Dist,
+    Hull,
     U_EVEN,
     U_ODD,
     base_dist,
@@ -25,6 +25,7 @@ from .distributions import (
     mix,
     normalized,
     point_mass,
+    upper_hull,
     vbar,
 )
 from .errors import OutOfTheoremScope
@@ -150,34 +151,7 @@ def lotto_optimal_B(spec: LottoSpec, uniform_member: bool = False) -> Dist:
     )
 
 
-class _Hull(NamedTuple):
-    """Vertices of an upper concave hull, by increasing x."""
-
-    xs: list[int]
-    ys: list[int]
-
-
-def _upper_hull(gain: list[int], points: range) -> _Hull:
-    """Upper concave hull of (t, gain[t]) for t in the increasing `points`.
-
-    Collinear points are dropped, so consecutive vertices bound its faces.
-    """
-    xs: list[int] = []
-    ys: list[int] = []
-    for x in points:
-        y = gain[x]
-        # Pop the last vertex while it lies on or below the chord to (x, y).
-        while len(xs) >= 2 and (
-            (ys[-1] - ys[-2]) * (x - xs[-2]) <= (y - ys[-2]) * (xs[-1] - xs[-2])
-        ):
-            xs.pop()
-            ys.pop()
-        xs.append(x)
-        ys.append(y)
-    return _Hull(xs, ys)
-
-
-def _hull_value(hull: _Hull, x: Fraction) -> Fraction:
+def _hull_value(hull: Hull, x: Fraction) -> Fraction:
     """The hull's height at x, for xs[0] <= x <= xs[-1], found by bisection."""
     xs, ys = hull
     i = bisect_right(xs, x) - 1
@@ -200,12 +174,12 @@ def _floor_binds(
     """
     if floor > 1:
         return None
-    odd = _upper_hull(gain, range(1, top + 1, 2))
+    odd = upper_hull(gain, range(1, top + 1, 2))
     if floor == 1:
         if not odd.xs[0] <= budget <= odd.xs[-1]:
             return None
         return _hull_value(odd, budget)
-    even = _upper_hull(gain, range(0, top + 1, 2))
+    even = upper_hull(gain, range(0, top + 1, 2))
     rest = 1 - floor
     low = max(Fraction(odd.xs[0]), (budget - rest * even.xs[-1]) / floor)
     high = min(Fraction(odd.xs[-1]), (budget - rest * even.xs[0]) / floor)
@@ -257,7 +231,7 @@ def envelope_best_response(
     gain = gain_table(
         {p: w.numerator * (scale // w.denominator) for p, w in opponent.items}, top
     )
-    xs, ys = _upper_hull(gain, range(top + 1))
+    xs, ys = upper_hull(gain, range(top + 1))
     i = bisect_right(xs, budget) - 1
     if xs[i] == budget:
         best = Fraction(ys[i])

@@ -1,21 +1,26 @@
-"""Independent equilibrium certification by exact best-response search.
+"""Independent equilibrium certification by exact best-reply bounds.
 
-The certifier never trusts the closed forms: it computes, by dynamic
-programming over battlefields and remaining budget, the best payoff a pure
-reply can extract from each claimed strategy, and certifies an equilibrium
-exactly when the two security levels coincide.
+The certifier never trusts the closed forms.  For each claimed strategy it
+bounds the best payoff a pure reply can extract, from the upper concave
+hull of the reply's per-battlefield gain against the strategy's entry
+counts (the General Lotto relaxation of uniform battlefield matching, Hart
+2008).  When the two bounds meet, weak duality pins both security levels to
+that value and certifies an equilibrium; otherwise an exact dynamic program
+over battlefields and remaining budget computes both security levels, and
+the pair is an equilibrium exactly when they coincide.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from .constructions import PartitionMatrix, cardinality
-from .distributions import gain_table
+from .distributions import Hull, gain_table, upper_hull
 from .errors import DimensionMismatch, InfeasibleRange
 from .exactmath import Rat, format_rat
 
@@ -27,11 +32,14 @@ class Certificate:
     `secured_by_A` is the floor A's strategy guarantees against any reply;
     `secured_by_B` is the ceiling B's strategy imposes; weak duality gives
     secured_by_A <= secured_by_B, with equality certifying an equilibrium.
+    `proof` is "bound" when the two hull bounds met and "dp" when both
+    levels come from the best-response dynamic program.
     """
 
     secured_by_A: Rat
     secured_by_B: Rat
     equilibrium: bool
+    proof: str
 
 
 def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
@@ -85,6 +93,44 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
     return Fraction(best[-1], opponent.row_count * K * K)
 
 
+def _spread(hull: Hull, total: int, parts: int) -> tuple[int, int]:
+    """parts * H(total / parts) as an integer pair (num, den), H being the
+    hull of a gain table through (0, gain[0]), flat past its last vertex."""
+    xs, ys = hull
+    i = bisect_right(xs, total // parts) - 1
+    if i == len(xs) - 1:
+        return parts * ys[i], 1
+    run = xs[i + 1] - xs[i]
+    return parts * ys[i] * run + (ys[i + 1] - ys[i]) * (total - parts * xs[i]), run
+
+
+def _reply_bound(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
+    """An upper bound on `best_response_value(opponent, budget, K)`.
+
+    The reply's K entries score sum(gain[t]) on the gain table the DP uses,
+    which is at most the sum of the table's upper concave hull H, non-
+    decreasing and flat from top = s + 1 on for the opponent's largest entry
+    s; by Jensen, K * H(budget / K).  A reply to an odd budget has an odd
+    entry t, so the bound is then the best gain[t] + (K - 1) * H((budget -
+    t) / (K - 1)) over odd t; an odd t past top + 1 gains nothing more and
+    leaves the others less.  The sums stay integer pairs, divided once.
+    """
+    counts = cardinality(opponent)
+    top = max(counts) + 1
+    gain = gain_table(counts, top)
+    hull = upper_hull(gain, range(top + 1))
+    if budget % 2 == 0:
+        num, den = _spread(hull, budget, K)
+    else:
+        num, den = -1, 0  # below every pair with a positive den
+        for t in range(1, min(budget, top + 1) + 1, 2):
+            n, d = _spread(hull, budget - t, K - 1)
+            n += gain[min(t, top)] * d
+            if n * den > num * d:
+                num, den = n, d
+    return Fraction(num, den * opponent.row_count * K * K)
+
+
 def certify(
     strategy_A: PartitionMatrix,
     strategy_B: PartitionMatrix,
@@ -92,7 +138,12 @@ def certify(
     B: int,
     K: int,
 ) -> Certificate:
-    """Security levels of the claimed pair, from two best-response runs."""
+    """Security levels of the claimed pair.
+
+    The hull bounds squeeze secured_by_A from below and secured_by_B from
+    above; when they meet, weak duality makes both levels equal to them.
+    Otherwise two best-response runs compute the levels exactly.
+    """
     if strategy_A.budget != A or strategy_A.battlefields != K:
         raise DimensionMismatch(
             f"A-strategy is a {strategy_A.budget}-budget matrix on "
@@ -103,9 +154,14 @@ def certify(
             f"B-strategy is a {strategy_B.budget}-budget matrix on "
             f"{strategy_B.battlefields} battlefields, expected ({B}, {K})"
         )
+    if K < 2:
+        raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
+    ceiling = _reply_bound(strategy_B, A, K)
+    if -_reply_bound(strategy_A, B, K) == ceiling:
+        return Certificate(ceiling, ceiling, True, "bound")
     secured_by_A = -best_response_value(strategy_A, B, K)
     secured_by_B = best_response_value(strategy_B, A, K)
-    return Certificate(secured_by_A, secured_by_B, secured_by_A == secured_by_B)
+    return Certificate(secured_by_A, secured_by_B, secured_by_A == secured_by_B, "dp")
 
 
 @dataclass(frozen=True)

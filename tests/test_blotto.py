@@ -244,9 +244,9 @@ def test_solve_low_trivial():
 def test_low_b_solves_with_one_row_per_side():
     # All C(K, R) arrangements of A's row would be 184,756 rows at (70, 1, 20)
     # and C(40, 20) rows at (100, 2, 40).
-    for (A, B, K), case, value in (
-        ((70, 1, 20), GameCase.LOW_B_TRIVIAL, Fraction(1)),
-        ((100, 2, 40), GameCase.LOW_B_EQUAL, Fraction(40 * 40 - 40 + 20, 40 * 40)),
+    for (A, B, K), case, value, proof in (
+        ((70, 1, 20), GameCase.LOW_B_TRIVIAL, Fraction(1), "bound"),
+        ((100, 2, 40), GameCase.LOW_B_EQUAL, Fraction(40 * 40 - 40 + 20, 40 * 40), "dp"),
     ):
         m, R = divmod(A, K)
         report = solve(GameSpec(A, B, K))
@@ -254,7 +254,7 @@ def test_low_b_solves_with_one_row_per_side():
         assert report.strategy_A.rows == ((m + 1,) * R + (m,) * (K - R),)
         assert report.strategy_B.rows == ((B,) + (0,) * (K - 1),)
         assert report.value == value
-        assert report.certificate == Certificate(value, value, True)
+        assert report.certificate == Certificate(value, value, True, proof)
 
 
 def test_low_b_rows_play_as_all_their_arrangements():

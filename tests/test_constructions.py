@@ -302,6 +302,17 @@ def test_glue_catches_a_dropped_block(monkeypatch, build):
         build()
 
 
+def test_glue_names_the_builder_when_heights_differ(monkeypatch):
+    grids = constructions._grids
+    monkeypatch.setattr(
+        constructions,
+        "_grids",
+        lambda kind, m, height, copies: grids(kind, m, height + 1, copies),
+    )
+    with pytest.raises(ConstructionMismatch, match="build_prop7_B: hcat needs equal row counts"):
+        build_prop7_B(13, 7, 91)
+
+
 def test_vsigma_is_the_sum_of_the_two_spike_vectors():
     for m in range(1, 30):
         spikes = [base_vector(V, m, j) for j in range(1, m + 1)]

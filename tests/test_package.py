@@ -81,6 +81,26 @@ def test_package_import_graph_is_acyclic():
         visit(module, ())
 
 
+def test_certifier_imports_no_builder_and_nothing_of_blotto():
+    # The certifier may read a matrix and count its entries, never build one,
+    # so a wrong construction cannot vouch for itself.
+    graph = _import_graph()
+    reached, todo = set(), ["verify"]
+    while todo:
+        for target in graph[todo.pop()] - reached:
+            reached.add(target)
+            todo.append(target)
+    assert "blotto" not in reached
+    tree = ast.parse((PACKAGE / "verify.py").read_text(encoding="utf-8"))
+    taken = {
+        alias.name
+        for module, node in _relative_imports(tree)
+        if module == "constructions"
+        for alias in node.names
+    }
+    assert taken == {"PartitionMatrix", "cardinality"}
+
+
 def test_runtime_imports_only_the_standard_library():
     foreign = []
     for path in sorted(PACKAGE.glob("*.py")):

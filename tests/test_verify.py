@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from blottokit.blotto import GameSpec, solve, sweep_certify
+from blottokit import verify
+from blottokit.blotto import GameSpec, classify, is_solved, solve, sweep_certify
 from blottokit.constructions import PartitionMatrix, build_EO, E
 from blottokit.distributions import payoff_H, point_mass
 from blottokit.errors import DimensionMismatch, InfeasibleRange
@@ -79,6 +80,29 @@ def test_capped_integer_dp_matches_uncapped_fraction_dp(case):
     assert got == uncapped_reply_value(opponent, budget, K)
 
 
+@st.composite
+def opponents_and_any_budgets(draw):
+    """`opponents_and_budgets`, with reply budgets up to (K + 1) * (max + 1)."""
+    opponent, _, K = draw(opponents_and_budgets())
+    largest = max(max(row) for row in opponent.rows)
+    return opponent, draw(st.integers(min_value=0, max_value=(K + 1) * (largest + 1))), K
+
+
+@given(opponents_and_any_budgets())
+@example((PartitionMatrix(4, 3, ((2, 2, 0),)), 0, 3))
+@example((PartitionMatrix(4, 3, ((2, 2, 0),)), 7, 3))
+@example((PartitionMatrix(4, 3, ((2, 2, 0),)), 8, 3))
+@example((PartitionMatrix(4, 3, ((2, 2, 0),)), 13, 3))
+@example((PartitionMatrix(6, 6, ((1,) * 6,)), 14, 6))
+def test_hull_bound_caps_the_best_response(case):
+    # Budget 0, odd and even budgets, and budgets past K * (max + 1), where
+    # every battlefield can outbid the opponent's largest entry.
+    opponent, budget, K = case
+    bound = verify._reply_bound(opponent, budget, K)
+    assert type(bound) is Fraction
+    assert bound >= best_response_value(opponent, budget, K)
+
+
 def ordered_partitions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -136,13 +160,58 @@ def test_best_response_validation():
 def test_certify_equilibrium_pairs():
     report = solve(GameSpec(7, 6, 2))
     cert = certify(report.strategy_A, report.strategy_B, 7, 6, 2)
-    assert cert == Certificate(Fraction(1, 8), Fraction(1, 8), True)
+    assert cert == Certificate(Fraction(1, 8), Fraction(1, 8), True, "bound")
 
     report = solve(GameSpec(7, 2, 3))
     cert = certify(report.strategy_A, report.strategy_B, 7, 2, 3)
     assert cert.secured_by_A == Fraction(7, 9)
     assert cert.secured_by_B == Fraction(7, 9)
     assert cert.equilibrium
+
+
+def test_hull_first_certificates_match_the_dp_over_the_solved_grid():
+    high_b = 0
+    for K in range(2, 9):
+        for A in range(K + 1, 41):
+            for B in range(1, A):
+                spec = GameSpec(A, B, K)
+                case = classify(spec)
+                if not is_solved(case):
+                    continue
+                report = solve(spec)
+                cert = report.certificate
+                secured_by_A = -best_response_value(report.strategy_A, B, K)
+                secured_by_B = best_response_value(report.strategy_B, A, K)
+                assert (cert.secured_by_A, cert.secured_by_B, cert.equilibrium) == (
+                    secured_by_A,
+                    secured_by_B,
+                    secured_by_A == secured_by_B,
+                ), spec
+                if case.value.startswith("HIGH_B_"):
+                    high_b += 1
+                    assert cert.proof == "bound", spec
+    assert high_b == 2692
+
+
+def test_certify_falls_back_to_the_dp_when_the_bounds_differ():
+    # One unit moved from the largest to the smallest entry of one B row
+    # breaks the equilibrium; the hull bound on A's reply (797/3360) is then
+    # above the DP's exact 113/480 = 791/3360, so the DP must decide.
+    A, B, K = 21, 16, 4
+    report = solve(GameSpec(A, B, K))
+    rows = list(report.strategy_B.rows)
+    assert rows[0] == (2, 4, 0, 10)
+    rows[0] = (2, 4, 1, 9)
+    moved = PartitionMatrix(B, K, tuple(rows))
+    assert verify._reply_bound(moved, A, K) == Fraction(797, 3360)
+    cert = certify(report.strategy_A, moved, A, B, K)
+    assert cert == Certificate(
+        -best_response_value(report.strategy_A, B, K),
+        best_response_value(moved, A, K),
+        False,
+        "dp",
+    )
+    assert (cert.secured_by_A, cert.secured_by_B) == (Fraction(7, 30), Fraction(113, 480))
 
 
 def test_certify_rejects_concentrated_attack():
@@ -161,6 +230,8 @@ def test_certify_dimension_checks():
         certify(good.strategy_A, good.strategy_B, 8, 6, 2)
     with pytest.raises(DimensionMismatch):
         certify(good.strategy_A, good.strategy_B, 7, 5, 2)
+    with pytest.raises(DimensionMismatch):
+        certify(PartitionMatrix(7, 1, ((7,),)), PartitionMatrix(6, 1, ((6,),)), 7, 6, 1)
 
 
 def test_weak_duality_on_random_pairs():
