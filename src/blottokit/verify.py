@@ -7,7 +7,9 @@ counts (the General Lotto relaxation of uniform battlefield matching, Hart
 2008).  When the two bounds meet, weak duality pins both security levels to
 that value and certifies an equilibrium; otherwise an exact dynamic program
 over battlefields and remaining budget computes both security levels, and
-the pair is an equilibrium exactly when they coincide.
+the pair is an equilibrium exactly when they coincide.  The gain table and
+its hull depend on the matrix alone, so `tabulate` recounts a matrix once
+into an `Opponent` record that serves every reply budget.
 """
 
 from __future__ import annotations
@@ -42,7 +44,36 @@ class Certificate:
     proof: str
 
 
-def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
+@dataclass(frozen=True)
+class Opponent:
+    """A matrix with the certifier's tables against it.
+
+    `gain` is the gain table of the matrix's own entry counts for t in
+    [0, top], top = s + 1 for its largest entry s, and `hull` is the upper
+    concave hull of that table.  Both depend on the matrix alone, so one
+    record serves every reply budget and every instance that plays it.
+    """
+
+    matrix: PartitionMatrix
+    gain: list[int]
+    hull: Hull
+
+
+def tabulate(matrix: PartitionMatrix) -> Opponent:
+    """The certifier's record of `matrix`, from its own recounted entries."""
+    counts = cardinality(matrix)
+    top = max(counts) + 1
+    gain = gain_table(counts, top)
+    return Opponent(matrix, gain, upper_hull(gain, range(top + 1)))
+
+
+def _tabulated(strategy: PartitionMatrix | Opponent) -> Opponent:
+    return strategy if isinstance(strategy, Opponent) else tabulate(strategy)
+
+
+def best_response_value(
+    opponent: PartitionMatrix | Opponent, budget: int, K: int
+) -> Rat:
     """Best average gain any K-partition of `budget` gets against `opponent`.
 
     The opponent's rows are mixed uniformly and matched to battlefields
@@ -57,25 +88,28 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
     first battlefield) fills only the cells within (K - 1 - j) * cap of the
     budget, where cap = min(budget, s + 1), and the last layer fills the one
     cell at the budget: the program runs in at most
-    O(K * budget * min(budget, s + 1)) integer steps.
+    O(K * budget * min(budget, s + 1)) integer steps.  A matrix is tabulated
+    first; an `Opponent` record brings its table, of which the DP reads the
+    entries up to cap.
     """
-    if opponent.battlefields != K:
+    opponent = _tabulated(opponent)
+    if opponent.matrix.battlefields != K:
         raise DimensionMismatch(
-            f"opponent plays on {opponent.battlefields} battlefields, reply on {K}"
+            f"opponent plays on {opponent.matrix.battlefields} battlefields, reply on {K}"
         )
     if budget < 0:
         raise InfeasibleRange(f"reply budget must be non-negative, got {budget}")
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
-    counts = cardinality(opponent)
-    cap = min(budget, max(counts) + 1)
-    gain = gain_table(counts, cap)
+    # Each entry depends on t alone, so gain[:cap + 1] is the table up to cap.
+    gain = opponent.gain
+    cap = min(budget, len(gain) - 1)
     # best[c - low]: largest scaled gain on the battlefields so far with at
     # most c units.  With r battlefields still to place, only the cells
     # c >= low = budget - r * cap can reach the budget, so the last layer is
     # the single cell c = budget.  With h = min(c, cap), descending[cap - h:]
     # is gain[h], ..., gain[0] and lines up each placement t with cell c - t.
-    descending = gain[::-1]
+    descending = gain[cap::-1]
     low = max(budget - (K - 1) * cap, 0)
     best = [gain[min(c, cap)] for c in range(low, budget + 1)]
     for r in range(K - 2, -1, -1):
@@ -90,7 +124,7 @@ def best_response_value(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
             )
             for c in range(low, budget + 1)
         ]
-    return Fraction(best[-1], opponent.row_count * K * K)
+    return Fraction(best[-1], opponent.matrix.row_count * K * K)
 
 
 def _spread(hull: Hull, total: int, parts: int) -> tuple[int, int]:
@@ -104,7 +138,7 @@ def _spread(hull: Hull, total: int, parts: int) -> tuple[int, int]:
     return parts * ys[i] * run + (ys[i + 1] - ys[i]) * (total - parts * xs[i]), run
 
 
-def _reply_bound(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
+def _reply_bound(opponent: Opponent, budget: int, K: int) -> Rat:
     """An upper bound on `best_response_value(opponent, budget, K)`.
 
     The reply's K entries score sum(gain[t]) on the gain table the DP uses,
@@ -115,10 +149,8 @@ def _reply_bound(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
     t) / (K - 1)) over odd t; an odd t past top + 1 gains nothing more and
     leaves the others less.  The sums stay integer pairs, divided once.
     """
-    counts = cardinality(opponent)
-    top = max(counts) + 1
-    gain = gain_table(counts, top)
-    hull = upper_hull(gain, range(top + 1))
+    gain, hull = opponent.gain, opponent.hull
+    top = len(gain) - 1
     if budget % 2 == 0:
         num, den = _spread(hull, budget, K)
     else:
@@ -128,39 +160,42 @@ def _reply_bound(opponent: PartitionMatrix, budget: int, K: int) -> Rat:
             n += gain[min(t, top)] * d
             if n * den > num * d:
                 num, den = n, d
-    return Fraction(num, den * opponent.row_count * K * K)
+    return Fraction(num, den * opponent.matrix.row_count * K * K)
 
 
 def certify(
-    strategy_A: PartitionMatrix,
-    strategy_B: PartitionMatrix,
+    strategy_A: PartitionMatrix | Opponent,
+    strategy_B: PartitionMatrix | Opponent,
     A: int,
     B: int,
     K: int,
 ) -> Certificate:
     """Security levels of the claimed pair.
 
+    Each strategy is a matrix, tabulated here, or its `Opponent` record.
     The hull bounds squeeze secured_by_A from below and secured_by_B from
     above; when they meet, weak duality makes both levels equal to them.
     Otherwise two best-response runs compute the levels exactly.
     """
-    if strategy_A.budget != A or strategy_A.battlefields != K:
+    side_A, side_B = _tabulated(strategy_A), _tabulated(strategy_B)
+    matrix_A, matrix_B = side_A.matrix, side_B.matrix
+    if matrix_A.budget != A or matrix_A.battlefields != K:
         raise DimensionMismatch(
-            f"A-strategy is a {strategy_A.budget}-budget matrix on "
-            f"{strategy_A.battlefields} battlefields, expected ({A}, {K})"
+            f"A-strategy is a {matrix_A.budget}-budget matrix on "
+            f"{matrix_A.battlefields} battlefields, expected ({A}, {K})"
         )
-    if strategy_B.budget != B or strategy_B.battlefields != K:
+    if matrix_B.budget != B or matrix_B.battlefields != K:
         raise DimensionMismatch(
-            f"B-strategy is a {strategy_B.budget}-budget matrix on "
-            f"{strategy_B.battlefields} battlefields, expected ({B}, {K})"
+            f"B-strategy is a {matrix_B.budget}-budget matrix on "
+            f"{matrix_B.battlefields} battlefields, expected ({B}, {K})"
         )
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
-    ceiling = _reply_bound(strategy_B, A, K)
-    if -_reply_bound(strategy_A, B, K) == ceiling:
+    ceiling = _reply_bound(side_B, A, K)
+    if -_reply_bound(side_A, B, K) == ceiling:
         return Certificate(ceiling, ceiling, True, "bound")
-    secured_by_A = -best_response_value(strategy_A, B, K)
-    secured_by_B = best_response_value(strategy_B, A, K)
+    secured_by_A = -best_response_value(side_A, B, K)
+    secured_by_B = best_response_value(side_B, A, K)
     return Certificate(secured_by_A, secured_by_B, secured_by_A == secured_by_B, "dp")
 
 

@@ -26,15 +26,23 @@ from blottokit.blotto import (
     sweep_certify,
     symmetrize,
 )
-from blottokit.constructions import PartitionMatrix, build_EO, E, matrix_to_json
+from blottokit.constructions import (
+    PartitionMatrix,
+    build_EO,
+    cardinality,
+    E,
+    matrix_to_json,
+)
 from blottokit.distributions import (
     U_EVEN,
     U_ODD,
     U_ODD_UP,
     base_dist,
+    gain_table,
     mix,
     normalized,
     point_mass,
+    upper_hull,
 )
 from blottokit.errors import (
     BadWeights,
@@ -44,7 +52,7 @@ from blottokit.errors import (
     UnsolvedCase,
 )
 from blottokit.general_lotto import LottoSpec, lotto_value
-from blottokit.verify import Certificate, certify, rows_to_csv
+from blottokit.verify import Certificate, SweepRow, certify, rows_to_csv
 from test_acceptance import feasible_builds
 
 
@@ -405,6 +413,77 @@ def test_sweep_builds_each_plan_once_per_block(monkeypatch):
     assert max(builds.values()) == 1
     # `solve` on each of the 1,504 solved instances makes 1,850 builder calls.
     assert sum(builds.values()) == 546
+
+
+def test_sweep_tabulates_each_plan_once_per_block(monkeypatch):
+    """Each plan's certifier record is made once per (K, m) block, beside its
+    matrix, and still holds a fresh tabulation after every instance used it."""
+    records = Counter()
+    block = None
+    classify_orig = blotto.classify
+    tabulate_orig = blotto.tabulate
+
+    def classify_noting_block(spec):
+        nonlocal block
+        block = (spec.K, spec.A // spec.K)
+        return classify_orig(spec)
+
+    def tabulate_counting(matrix):
+        record = tabulate_orig(matrix)
+        records[block, record.matrix] += 1
+        return record
+
+    def certify_noting_record(strategy_A, strategy_B, A, B, K):
+        # Every instance of a block that plays a matrix gets the same record.
+        for side in (strategy_A, strategy_B):
+            assert shared.setdefault((block, side.matrix), side) is side
+        return certify(strategy_A, strategy_B, A, B, K)
+
+    shared = {}
+    monkeypatch.setattr(blotto, "classify", classify_noting_block)
+    monkeypatch.setattr(blotto, "tabulate", tabulate_counting)
+    monkeypatch.setattr(blotto, "certify", certify_noting_record)
+    sweep_certify(6, 30)
+    # Certifying each instance on its own recounted a matrix 3,008 times for
+    # the hull bounds and 898 times more for the fallback DPs.
+    assert max(records.values()) == 1
+    assert sum(records.values()) == 912
+    assert set(shared) == set(records)
+    for record in shared.values():
+        counts = cardinality(record.matrix)
+        top = max(counts) + 1
+        assert record.gain == gain_table(counts, top)
+        assert record.hull == upper_hull(gain_table(counts, top), range(top + 1))
+
+
+def test_shared_tables_change_no_sweep_row_or_certificate(monkeypatch):
+    """Every `sweep_certify(5, 20)` row and certificate is the one a fresh
+    `solve` of that instance gives."""
+    certificates = {}
+
+    def certify_noting(strategy_A, strategy_B, A, B, K):
+        cert = certificates[A, B, K] = certify(strategy_A, strategy_B, A, B, K)
+        return cert
+
+    monkeypatch.setattr(blotto, "certify", certify_noting)
+    rows = sweep_certify(5, 20)
+    monkeypatch.undo()
+    solved = 0
+    for row in rows:
+        spec = GameSpec(row.A, row.B, row.K)
+        case = classify(spec)
+        if not is_solved(case):
+            assert row == SweepRow(row.K, row.A, row.B, case.value, None, None, None, None)
+            continue
+        report = solve(spec)
+        cert = report.certificate
+        assert row == SweepRow(
+            row.K, row.A, row.B, case.value, report.value,
+            cert.secured_by_A, cert.secured_by_B, True,
+        )
+        assert certificates[spec.A, spec.B, spec.K] == cert
+        solved += 1
+    assert solved == len(certificates) == 513
 
 
 def test_report_json_shape():

@@ -140,6 +140,14 @@ def test_gain_table_is_payoff_of_point_masses(counts, top):
         assert gain == total * payoff_H(point_mass(t), normalized(counts))
 
 
+@given(small_counts, st.integers(min_value=0, max_value=12), st.data())
+def test_gain_table_prefix_is_the_shorter_table(counts, top, data):
+    # Each entry depends on t alone, so the certifier's DP can read the first
+    # cap + 1 entries of a matrix's table up to top.
+    cap = data.draw(st.integers(min_value=0, max_value=top))
+    assert gain_table(counts, top)[: cap + 1] == gain_table(counts, cap)
+
+
 def test_gain_table_rejects_empty_or_negative_counts():
     with pytest.raises(BadWeights):
         gain_table({}, 3)

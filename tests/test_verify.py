@@ -78,6 +78,7 @@ def test_capped_integer_dp_matches_uncapped_fraction_dp(case):
     got = best_response_value(opponent, budget, K)
     assert type(got) is Fraction
     assert got == uncapped_reply_value(opponent, budget, K)
+    assert best_response_value(verify.tabulate(opponent), budget, K) == got
 
 
 @st.composite
@@ -98,7 +99,7 @@ def test_hull_bound_caps_the_best_response(case):
     # Budget 0, odd and even budgets, and budgets past K * (max + 1), where
     # every battlefield can outbid the opponent's largest entry.
     opponent, budget, K = case
-    bound = verify._reply_bound(opponent, budget, K)
+    bound = verify._reply_bound(verify.tabulate(opponent), budget, K)
     assert type(bound) is Fraction
     assert bound >= best_response_value(opponent, budget, K)
 
@@ -203,7 +204,7 @@ def test_certify_falls_back_to_the_dp_when_the_bounds_differ():
     assert rows[0] == (2, 4, 0, 10)
     rows[0] = (2, 4, 1, 9)
     moved = PartitionMatrix(B, K, tuple(rows))
-    assert verify._reply_bound(moved, A, K) == Fraction(797, 3360)
+    assert verify._reply_bound(verify.tabulate(moved), A, K) == Fraction(797, 3360)
     cert = certify(report.strategy_A, moved, A, B, K)
     assert cert == Certificate(
         -best_response_value(report.strategy_A, B, K),
