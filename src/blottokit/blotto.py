@@ -167,72 +167,53 @@ def is_solved(case: GameCase) -> bool:
 
 def blotto_value(spec: GameSpec) -> Rat:
     """Exact value of a solved instance for the stronger player."""
-    return _closed_form_value(spec, classify(spec))
-
-
-def _closed_form_value(spec: GameSpec, case: GameCase) -> Rat:
-    """The value formula of the regime `case` that `classify` gave `spec`."""
-    A, B, K = spec.A, spec.B, spec.K
-    m, R = spec.m, spec.R
-    if case is GameCase.LOW_B_TRIVIAL:
-        return Fraction(1)
-    if case is GameCase.LOW_B_EQUAL:
-        return Fraction(K * K - K + R, K * K)
-    if case is GameCase.HIGH_B_DIV:
-        return Fraction(A - B, A)
-    if case in (GameCase.HIGH_B_NDIV_EVEN, GameCase.HIGH_B_NDIV_ODD):
-        scale = (A - R) * (A + K - R)
-        value = Fraction(A - B, A) - Fraction(B * R * (K - R), A * scale)
-        if case is GameCase.HIGH_B_NDIV_ODD:
-            value += Fraction(min(R, K - R), scale)
-        return value
-    raise UnsolvedCase(
-        f"{case.value}: no exact value is known for (A={A}, B={B}, K={K})"
-    )
+    return _regime(spec, classify(spec))[0]
 
 
 Plan = tuple[Callable[..., PartitionMatrix], tuple]
 
 
-def _attack_plan(spec: GameSpec, case: GameCase) -> Plan:
-    """(builder, args) of the stronger player's matrix in a solved regime."""
-    A, K = spec.A, spec.K
-    m, R = spec.m, spec.R
-    if case in _LOW_B_CASES:
-        # Battlefields are matched uniformly at random, so this one sorted
-        # row plays the same as all C(K, R) of its arrangements.
-        return PartitionMatrix, (A, K, ((m + 1,) * R + (m,) * (K - R),))
-    if case is GameCase.HIGH_B_DIV:
-        return implement_u, (U_ODD, A // K, A, K)
-    if case is GameCase.HIGH_B_NDIV_EVEN and (A - K) % 2 == 0:
-        return build_prop4_A, (m, K, A)
-    # The two-point family realizes the strategy that also secures the
-    # odd-B value, so it is used for every remaining fractional case.
-    return build_prop5_A, (m, K, A, P1 if 2 * R <= K else P2)
-
-
-def _defense_plan(spec: GameSpec, case: GameCase) -> Plan:
-    """(builder, args) of the weaker player's matrix in a solved regime."""
+def _regime(spec: GameSpec, case: GameCase) -> tuple[Rat, Plan, Plan]:
+    """Value and the (builder, args) plans of the stronger and the weaker
+    player's matrices in the regime `case` that `classify` gave `spec`."""
     A, B, K = spec.A, spec.B, spec.K
     m, R = spec.m, spec.R
+    if case not in _SOLVED_CASES:
+        raise UnsolvedCase(
+            f"{case.value}: no exact value is known for (A={A}, B={B}, K={K})"
+        )
     if case in _LOW_B_CASES:
-        # The whole budget on one battlefield; under the same matching this
-        # row plays the same as the K rows that each pick a battlefield.
-        return PartitionMatrix, (B, K, ((B,) + (0,) * (K - 1),))
+        # Battlefields are matched uniformly at random, so the sorted row
+        # with R entries m + 1 plays the same as all C(K, R) of its
+        # arrangements, and the whole budget on one battlefield as the K
+        # rows that each pick a battlefield.
+        trivial = case is GameCase.LOW_B_TRIVIAL
+        return (
+            Fraction(1) if trivial else Fraction(K * K - K + R, K * K),
+            (PartitionMatrix, (A, K, ((m + 1,) * R + (m,) * (K - R),))),
+            (PartitionMatrix, (B, K, ((B,) + (0,) * (K - 1),))),
+        )
+    if case is GameCase.HIGH_B_DIV:
+        # The defence is the member of the optimal family that has an exact
+        # matrix implementation at this parity of B.
+        if B % 2 == 0:
+            defense = build_prop3_B, (m if B >= 2 * m else m - 1, K, B)
+        elif B == 2 * m - 1:
+            defense = build_prop6_B, (m, K)
+        else:
+            defense = build_prop7_B, (m, K, B)
+        return Fraction(A - B, A), (implement_u, (U_ODD, m, A, K)), defense
+    scale = (A - R) * (A + K - R)
+    value = Fraction(A - B, A) - Fraction(B * R * (K - R), A * scale)
+    # The two-point family realizes the strategy that also secures the
+    # odd-B value, so it is used for every fractional case but Prop. 4's.
+    attack = build_prop5_A, (m, K, A, P1 if 2 * R <= K else P2)
     if case is GameCase.HIGH_B_NDIV_EVEN:
-        return build_prop3_B, (m, K, B)
-    if case is GameCase.HIGH_B_NDIV_ODD:
-        if 2 * R < K:
-            return build_prop7_B, (m, K, B)
-        return build_prop10_B, (m, K, B)
-    # Divisible case: pick the member of the optimal family that has an
-    # exact matrix implementation at this parity of B.
-    level = A // K
-    if B % 2 == 0:
-        return build_prop3_B, (level if B >= 2 * level else level - 1, K, B)
-    if B == 2 * level - 1:
-        return build_prop6_B, (level, K)
-    return build_prop7_B, (level, K, B)
+        if (A - K) % 2 == 0:
+            attack = build_prop4_A, (m, K, A)
+        return value, attack, (build_prop3_B, (m, K, B))
+    value += Fraction(min(R, K - R), scale)
+    return value, attack, (build_prop7_B if 2 * R < K else build_prop10_B, (m, K, B))
 
 
 def _built(plan: Plan, opponents: dict[Plan, Opponent]) -> Opponent:
@@ -251,9 +232,9 @@ def _solve(
     """Certified equilibrium of `spec` in the solved regime `case`, taking
     matrices and their certifier records from and adding them to
     `opponents`."""
-    value = _closed_form_value(spec, case)
-    side_a = _built(_attack_plan(spec, case), opponents)
-    side_b = _built(_defense_plan(spec, case), opponents)
+    value, attack, defense = _regime(spec, case)
+    side_a = _built(attack, opponents)
+    side_b = _built(defense, opponents)
     cert = certify(side_a, side_b, spec.A, spec.B, spec.K)
     if not cert.equilibrium or cert.secured_by_A != value:
         raise CertificationFailed(

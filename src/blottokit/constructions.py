@@ -670,6 +670,8 @@ def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
 
 def _r2_blocks(m: int) -> list[_Block]:
     half = m // 2
+    # Blocks R-IV and R-VI hold the same parts.
+    ones = tuple(_Part(i, (1, 2 * m - 2 * i - 1, m + 2 * i + 1), 2) for i in range(half))
     return [
         _Block(
             "R-I",
@@ -692,13 +694,7 @@ def _r2_blocks(m: int) -> list[_Block]:
                 for i in range(half - 1)
             ),
         ),
-        _Block(
-            "R-IV",
-            tuple(
-                _Part(i, (1, 2 * m - 2 * i - 1, m + 2 * i + 1), 2)
-                for i in range(half)
-            ),
-        ),
+        _Block("R-IV", ones),
         _Block(
             "R-V",
             tuple(
@@ -706,13 +702,7 @@ def _r2_blocks(m: int) -> list[_Block]:
                 for i in range(half)
             ),
         ),
-        _Block(
-            "R-VI",
-            tuple(
-                _Part(i, (1, 2 * m - 2 * i - 1, m + 2 * i + 1), 2)
-                for i in range(half)
-            ),
-        ),
+        _Block("R-VI", ones),
     ]
 
 

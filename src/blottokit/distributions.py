@@ -34,7 +34,14 @@ class Dist:
 
     @classmethod
     def from_weights(cls, weights: Mapping[int, Rat | int]) -> "Dist":
-        """Build a Dist, dropping zero weights and validating the rest."""
+        """Build a Dist, dropping zero weights and validating the rest.
+
+        Points must be `int`s and weights `int`s or `Fraction`s; a `bool` or
+        a `float` is neither, and raises BadWeights.
+        """
+        if not set(map(type, weights)) <= {int}:
+            raise BadWeights(f"support points must be ints, got {list(weights)!r}")
+        _check_exact(weights.values())
         cleaned: dict[int, Fraction] = {}
         for point, weight in weights.items():
             weight = Fraction(weight)
@@ -44,7 +51,7 @@ class Dist:
                 raise BadWeights(f"negative weight {weight} at {point}")
             if point < 0:
                 raise BadWeights(f"negative support point {point}")
-            cleaned[int(point)] = cleaned.get(int(point), Fraction(0)) + weight
+            cleaned[point] = cleaned.get(point, Fraction(0)) + weight
         if sum(cleaned.values(), Fraction(0)) != 1:
             raise BadWeights(f"weights sum to {sum(cleaned.values())}, not 1")
         return cls(tuple(sorted(cleaned.items())))
@@ -58,6 +65,12 @@ class Dist:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{p}: {w}" for p, w in self.items)
         return f"Dist({{{inner}}})"
+
+
+def _check_exact(weights) -> None:
+    """Raise BadWeights unless every weight is an `int` or a `Fraction`."""
+    if not set(map(type, weights)) <= {int, Fraction}:
+        raise BadWeights(f"weights must be ints or Fractions, got {list(weights)!r}")
 
 
 def point_mass(point: int) -> Dist:
@@ -136,7 +149,9 @@ def vbar(m: int) -> Dist:
 
 def mix(parts: Sequence[tuple[Rat | int, Dist]]) -> Dist:
     """Convex combination of distributions; zero-weight parts are dropped."""
-    total = sum((Fraction(w) for w, _ in parts), Fraction(0))
+    weights = [weight for weight, _ in parts]
+    _check_exact(weights)
+    total = sum(weights, Fraction(0))
     if total != 1:
         raise BadWeights(f"mixture weights sum to {total}, not 1")
     combined: dict[int, Fraction] = {}

@@ -32,6 +32,14 @@ from .errors import OutOfTheoremScope
 from .exactmath import Rat
 
 
+def _exact(name: str, value: Rat) -> Fraction:
+    """`value` as a Fraction; OutOfTheoremScope unless it is an int or a
+    Fraction (a `bool` or a `float` is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise OutOfTheoremScope(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class LottoSpec:
     """Budgets of a mean-budget game: a > b > 0, optional odd-mass floor c."""
@@ -42,10 +50,7 @@ class LottoSpec:
 
     def __post_init__(self) -> None:
         for name in ("a", "b") if self.c is None else ("a", "b", "c"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise OutOfTheoremScope(f"{name} must be an int or a Fraction, got {value!r}")
-            object.__setattr__(self, name, Fraction(value))
+            object.__setattr__(self, name, _exact(name, getattr(self, name)))
         if not self.a > self.b > 0:
             raise OutOfTheoremScope(f"budgets need a > b > 0, got a={self.a}, b={self.b}")
         if self.c is not None and not 0 < self.c <= self.b / (self.m + 1):
@@ -215,14 +220,15 @@ def envelope_best_response(
     the odd and the even points (see `_floor_binds`).  Building the hulls
     takes O(top) steps and each of the O(top) breakpoints is evaluated by
     bisection: O(top log top) in all, in place of the O(top^3) supports of
-    two or three points that an exhaustive search would visit.
+    two or three points that an exhaustive search would visit.  The budget
+    and the floor are ints or Fractions, as in `LottoSpec`.
     """
-    budget = Fraction(budget)
+    budget = _exact("budget", budget)
     if budget <= 0:
         raise OutOfTheoremScope(f"the oracle needs a positive budget, got {budget}")
     top = opponent.max_support() + 1
     if odd_floor is not None:
-        odd_floor = Fraction(odd_floor)
+        odd_floor = _exact("odd_floor", odd_floor)
         top += 1
     top = max(top, math.floor(budget) + 2)
     # Integer counts with the same shape as the opponent, so the table holds

@@ -67,6 +67,10 @@ def tabulate(matrix: PartitionMatrix) -> Opponent:
     return Opponent(matrix, gain, upper_hull(gain, range(top + 1)))
 
 
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _tabulated(strategy: PartitionMatrix | Opponent) -> Opponent:
     return strategy if isinstance(strategy, Opponent) else tabulate(strategy)
 
@@ -93,12 +97,12 @@ def best_response_value(
     entries up to cap.
     """
     opponent = _tabulated(opponent)
-    if opponent.matrix.battlefields != K:
+    if not _whole(K) or opponent.matrix.battlefields != K:
         raise DimensionMismatch(
-            f"opponent plays on {opponent.matrix.battlefields} battlefields, reply on {K}"
+            f"opponent plays on {opponent.matrix.battlefields} battlefields, reply on {K!r}"
         )
-    if budget < 0:
-        raise InfeasibleRange(f"reply budget must be non-negative, got {budget}")
+    if not _whole(budget) or budget < 0:
+        raise InfeasibleRange(f"reply budget must be a non-negative int, got {budget!r}")
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
     # Each entry depends on t alone, so gain[:cap + 1] is the table up to cap.
@@ -177,6 +181,8 @@ def certify(
     above; when they meet, weak duality makes both levels equal to them.
     Otherwise two best-response runs compute the levels exactly.
     """
+    if not (_whole(A) and _whole(B) and _whole(K)):
+        raise DimensionMismatch(f"A, B and K must be ints, got ({A!r}, {B!r}, {K!r})")
     side_A, side_B = _tabulated(strategy_A), _tabulated(strategy_B)
     matrix_A, matrix_B = side_A.matrix, side_B.matrix
     if matrix_A.budget != A or matrix_A.battlefields != K:

@@ -163,11 +163,41 @@ def test_value_examples():
 
 
 def test_value_unsolved_cases_raise():
-    for A, B, K in ((9, 3, 3), (7, 5, 3), (8, 7, 3), (8, 3, 3)):
-        with pytest.raises(UnsolvedCase):
-            blotto_value(GameSpec(A, B, K))
-        with pytest.raises(UnsolvedCase):
-            solve(GameSpec(A, B, K))
+    # Over K <= 8, A <= 40, A <= K included (m = 0, where the fractional
+    # value formula would divide by zero), an unsolved instance raises
+    # UnsolvedCase with its case and budgets before any value arithmetic.
+    unsolved = narrow = 0
+    for K in range(2, 9):
+        for A in range(2, 41):
+            for B in range(1, A):
+                spec = GameSpec(A, B, K)
+                case = classify(spec)
+                if is_solved(case):
+                    continue
+                unsolved += 1
+                narrow += A <= K
+                want = f"{case.value}: no exact value is known for (A={A}, B={B}, K={K})"
+                for call in (solve, blotto_value):
+                    with pytest.raises(UnsolvedCase) as info:
+                        call(spec)
+                    assert type(info.value) is UnsolvedCase
+                    assert str(info.value) == want
+    assert narrow > 0 and unsolved > narrow
+
+
+def test_nine_three_three_is_worth_three_quarters():
+    # The README's pair at (9, 3, 3), where B = m = 3 and K - R = 3: A mixes
+    # (3,3,3) once and (4,4,1) three times, B (3,0,0) three times and
+    # (2,1,0) once.  Both sides secure 3/4, so the equal-budget constant
+    # (K^2 - K + R)/K^2 = 2/3 fails there and `classify` leaves it unsolved.
+    spec = GameSpec(9, 3, 3)
+    assert classify(spec) is GameCase.UNSOLVED_INTERMEDIATE
+    attack = PartitionMatrix(9, 3, ((3, 3, 3),) + ((4, 4, 1),) * 3)
+    defense = PartitionMatrix(3, 3, ((3, 0, 0),) * 3 + ((2, 1, 0),))
+    cert = certify(attack, defense, 9, 3, 3)
+    assert cert == Certificate(Fraction(3, 4), Fraction(3, 4), True, "dp")
+    equal_budget = Fraction(3 * 3 - 3 + spec.R, 3 * 3)
+    assert equal_budget == Fraction(2, 3) and cert.secured_by_A != equal_budget
 
 
 def test_value_reduction_identities():

@@ -104,6 +104,28 @@ def test_mix_rejects_bad_weights():
         mix([(Fraction(1, 2), d)])
     with pytest.raises(BadWeights):
         mix([(Fraction(3, 2), d), (Fraction(-1, 2), point_mass(0))])
+    # Exact as they are, 0.5, 1.0 and True are not ints or Fractions.
+    for weight in (0.5, 1.0, True):
+        with pytest.raises(BadWeights):
+            mix([(weight, d), (1 - Fraction(weight), point_mass(2))])
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {0.5: 1},
+        {1.0: 1},
+        {True: 1},
+        {0: 0.5, 1: 0.5},
+        {0: 1.0},
+        {0: True},
+        {Fraction(1): 1},
+    ],
+)
+def test_from_weights_rejects_inexact_points_and_weights(weights):
+    # A float point used to be truncated ({0.5: 1} gave the point mass at 0).
+    with pytest.raises(BadWeights):
+        Dist.from_weights(weights)
 
 
 def test_mix_drops_zero_weight_parts():

@@ -161,6 +161,13 @@ def test_envelope_examples():
     assert envelope_best_response(lotto_optimal_A(low), low.b) == Fraction(-1, 3)
     with pytest.raises(OutOfTheoremScope):
         envelope_best_response(point_mass(0), 0)
+    # A float budget used to return a binary fraction (0.1 gave
+    # -22818238112010513/36028797018963968), and True acted as 1.
+    even = base_dist(U_EVEN, 2)
+    for budget, floor in ((0.1, None), (True, None), (2.0, None), (Fraction(3, 2), 0.5),
+                          (Fraction(3, 2), True)):
+        with pytest.raises(OutOfTheoremScope, match="must be an int or a Fraction"):
+            envelope_best_response(even, budget, floor)
 
 
 def test_envelope_reply_is_always_a_fraction():

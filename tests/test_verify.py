@@ -156,6 +156,13 @@ def test_best_response_validation():
         best_response_value(opponent, -1, 2)
     with pytest.raises(DimensionMismatch):
         best_response_value(PartitionMatrix(5, 1, ((5,),)), 3, 1)
+    # A float slice bound used to raise a bare TypeError, and True acted as 1.
+    for budget in (3.0, True, Fraction(3), "3"):
+        with pytest.raises(InfeasibleRange):
+            best_response_value(opponent, budget, 2)
+    for K in (2.0, True, Fraction(2)):
+        with pytest.raises(DimensionMismatch):
+            best_response_value(opponent, 1, K)
 
 
 def test_certify_equilibrium_pairs():
@@ -233,6 +240,12 @@ def test_certify_dimension_checks():
         certify(good.strategy_A, good.strategy_B, 7, 5, 2)
     with pytest.raises(DimensionMismatch):
         certify(PartitionMatrix(7, 1, ((7,),)), PartitionMatrix(6, 1, ((6,),)), 7, 6, 1)
+    # 4.0 == 4 and True == 1 would pass the budget checks.
+    attack = PartitionMatrix(4, 2, ((2, 2),))
+    for A, B, K in ((4.0, 2, 2), (4, 2.0, 2), (4, 2, 2.0), (4, True, 2), (Fraction(4), 2, 2)):
+        defense = PartitionMatrix(int(B), 2, ((int(B), 0),))
+        with pytest.raises(DimensionMismatch, match="must be ints"):
+            certify(attack, defense, A, B, K)
 
 
 def test_weak_duality_on_random_pairs():
