@@ -259,9 +259,8 @@ def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
     K, m = A // K and its own budgets, so it is built and tabulated once per
     (K, m) block, and its certifier record (gain table and hull) is kept
     beside it for every instance that uses it: `sweep_certify(6, 30)`
-    tabulates 912 times, where certifying every instance on its own took
-    3,008 bound recounts and 898 DP recounts.  Builders are pure and
-    matrices frozen, so this is the matrix and the table `solve` would make.
+    tabulates 912 times.  Builders are pure and matrices frozen, so this is
+    the matrix and the table `solve` would make.
     """
     if kmax < 2 or amax < 3:
         raise InfeasibleRange(f"sweep needs kmax >= 2 and amax >= 3, got ({kmax}, {amax})")
@@ -328,9 +327,15 @@ def _as_lottery(side) -> Lottery:
     entries = list(side)
     if not entries:
         raise DimensionMismatch("a lottery needs at least one allocation")
-    if isinstance(entries[0], int):
-        entries = [(tuple(entries), 1)]
-    out = tuple((tuple(alloc), Fraction(prob)) for alloc, prob in entries)
+    if not isinstance(entries[0], (tuple, list)):
+        entries = [(entries, 1)]
+    allocations = [tuple(alloc) for alloc, _ in entries]
+    if set(map(type, itertools.chain.from_iterable(allocations))) != {int}:
+        raise DimensionMismatch(f"allocation entries must be ints, got {allocations!r}")
+    probabilities = [prob for _, prob in entries]
+    if not set(map(type, probabilities)) <= {int, Fraction}:
+        raise BadWeights(f"probabilities must be ints or Fractions, got {probabilities!r}")
+    out = tuple(zip(allocations, map(Fraction, probabilities)))
     total = sum(prob for _, prob in out)
     if total != 1 or any(prob < 0 for _, prob in out):
         raise BadWeights(f"lottery probabilities must be non-negative and sum to 1, got {total}")
@@ -341,7 +346,9 @@ def payoff_blotto_exhaustive(x, y) -> Rat:
     """Exact per-battlefield sign average of two allocation lotteries.
 
     Each argument is a sequence of (ordered allocation, probability) pairs,
-    or a bare allocation standing for a pure strategy.
+    or a bare allocation standing for a pure strategy.  Allocation entries
+    must be ints (DimensionMismatch otherwise) and probabilities ints or
+    Fractions (BadWeights otherwise); a bool is neither.
     """
     lottery_x, lottery_y = _as_lottery(x), _as_lottery(y)
     battlefields = len(lottery_x[0][0])
@@ -362,13 +369,15 @@ def payoff_blotto_exhaustive(x, y) -> Rat:
 
 
 def symmetrize(allocation: Sequence[int], battlefields: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Uniform lottery over the distinct orderings of one allocation."""
+    """Uniform lottery over the distinct orderings of one allocation of ints."""
     if len(allocation) != battlefields:
         raise DimensionMismatch(
             f"allocation has {len(allocation)} entries for {battlefields} battlefields"
         )
     if battlefields > 6:
         raise TooLarge(f"symmetrization is bounded to K <= 6, got {battlefields}")
+    if set(map(type, allocation)) != {int}:
+        raise DimensionMismatch(f"allocation entries must be ints, got {allocation!r}")
     orderings = sorted(set(itertools.permutations(allocation)), reverse=True)
     share = Fraction(1, len(orderings))
     return [(ordering, share) for ordering in orderings]

@@ -62,60 +62,31 @@ def _json_arg(text: str) -> dict:
     return obj
 
 
-def _int_rows(value: list) -> str | None:
-    """`json.dumps(value)` when `value` is a list of flat int lists, else None.
+def _layout(payload: dict, newline: str) -> str:
+    """`json.dumps(payload, indent=2)`, for the dicts the verbs print.
 
-    Every check runs in C: each item is a list, one "[" per item means none
-    nests, and nothing left once digits, signs and separators are deleted
-    means no bool, float, string or null.
+    Values are JSON scalars, nested dicts, or a list, which is always a
+    matrix's rows: plain ints, as `PartitionMatrix` guarantees, all written
+    by one dumps and split one row per line.  Written here because indent
+    makes json fall back to its pure-Python encoder.
     """
-    if set(map(type, value)) != {list}:
-        return None
-    text = json.dumps(value)
-    if text.count("[") != len(value) + 1 or text.encode().translate(
-        None, b"0123456789-[], "
-    ):
-        return None
-    return text
+    inner = newline + "  "
+    items = []
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            text = _layout(value, inner)
+        elif isinstance(value, list):
+            row = inner + "  "
+            rows = json.dumps(value)[1:-1].replace("], [", "]," + row + "[")
+            text = "[" + row + rows + inner + "]"
+        else:
+            text = json.dumps(value)
+        items.append(json.dumps(key) + ": " + text)
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
-def _encode(value: object, newline: str, out: list[str]) -> None:
-    # The layout of json.dumps(indent=2), written here because indent makes
-    # json fall back to its pure-Python encoder.  Keys are strings.
-    if isinstance(value, dict) and value:
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            out.append(separator + json.dumps(key) + ": ")
-            _encode(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "}")
-    elif isinstance(value, list) and value and set(map(type, value)) == {int}:
-        out.append("[" + ", ".join(map(str, value)) + "]")
-    elif isinstance(value, list) and value and (rows := _int_rows(value)) is not None:
-        # A matrix: one row per line, all of it written by one dumps.
-        inner = newline + "  "
-        out.append(
-            "[" + inner + rows[1:-1].replace("], [", "]," + inner + "[") + newline + "]"
-        )
-    elif isinstance(value, list) and value:
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _encode(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "]")
-    else:
-        out.append(json.dumps(value))
-
-
-def _emit(payload: object) -> None:
-    # Indented JSON, but with every list of plain ints (a matrix row) on one
-    # line so partition matrices stay readable.
-    out: list[str] = []
-    _encode(payload, "\n", out)
-    print("".join(out))
+def _emit(payload: dict) -> None:
+    print(_layout(payload, "\n"))
 
 
 def _cmd_solve(args: argparse.Namespace) -> None:
@@ -332,10 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         args.func(args)
-    except BlottoError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (BlottoError, OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -121,9 +121,7 @@ def base_vector(kind: str, m: int, j: int | None = None) -> IntVec:
 
 def base_dist(kind: str, m: int, j: int | None = None) -> Dist:
     """The base vector normalized to a probability distribution."""
-    counts = base_vector(kind, m, j)
-    total = sum(counts.values())
-    return Dist.from_weights({p: Fraction(c, total) for p, c in counts.items()})
+    return normalized(base_vector(kind, m, j))
 
 
 def vbar_counts(m: int) -> IntVec:

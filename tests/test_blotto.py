@@ -546,6 +546,16 @@ def test_payoff_blotto_exhaustive_examples():
         payoff_blotto_exhaustive([((2, 0), Fraction(1, 2))], (1, 1))
     with pytest.raises(TooLarge):
         payoff_blotto_exhaustive(tuple(range(7)), tuple(range(7)))
+    # Probabilities are ints or Fractions and allocation entries ints; a
+    # bool is neither, and a float is never rounded into an exact weight.
+    for lottery in ([((2, 2), True)], [((2, 2), 0.5), ((2, 2), 0.5)]):
+        with pytest.raises(BadWeights):
+            payoff_blotto_exhaustive(lottery, (3, 1))
+    for allocation in ((1.5, 2.5), (True, 3), [((2, 2.0), 1)]):
+        with pytest.raises(DimensionMismatch):
+            payoff_blotto_exhaustive(allocation, (3, 1))
+        with pytest.raises(DimensionMismatch):
+            payoff_blotto_exhaustive((3, 1), allocation)
 
 
 def test_symmetrize_examples():
@@ -558,6 +568,9 @@ def test_symmetrize_examples():
         symmetrize((1, 0), 3)
     with pytest.raises(TooLarge):
         symmetrize(tuple(range(7)), 7)
+    for allocation in ((1.5, 2.5), (True, 3), (2, 2.0)):
+        with pytest.raises(DimensionMismatch):
+            symmetrize(allocation, 2)
 
 
 def test_uniform_matching_reduction_randomized():

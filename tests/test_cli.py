@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from blottokit import cli, constructions
-from blottokit.blotto import GameSpec, classify, is_solved, solve
+from blottokit.blotto import GameSpec, classify, is_solved, report_to_json, solve
 from blottokit.cli import main
 from blottokit.constructions import (
     E,
@@ -108,33 +110,48 @@ def test_cli_stdout_bytes_are_pinned(capsys, tmp_path):
     )
 
 
-def test_emit_keeps_the_indented_layout_on_edge_payloads(capsys):
-    # Payloads no verb prints today: negative and empty rows, an empty dict,
-    # and a list of non-integers, which stays one item per line.
-    cli._emit({"rows": [[-1, 2], []], "empty": {}, "flags": [True, 1.5, None], "name": "é"})
-    assert capsys.readouterr().out == (
-        '{\n  "rows": [\n    [-1, 2],\n    []\n  ],\n  "empty": {},\n'
-        '  "flags": [\n    true,\n    1.5,\n    null\n  ],\n  "name": "\\u00e9"\n}\n'
+def indented_json(payload: dict) -> str:
+    """`json.dumps(payload, indent=2)` with every list of ints on one line."""
+    return re.sub(
+        r"\[[-\d,\s]*\]",
+        lambda match: json.dumps(json.loads(match.group())),
+        json.dumps(payload, indent=2),
     )
+
+
+def random_matrix(rng: random.Random) -> PartitionMatrix:
+    battlefields, budget = rng.randint(1, 9), rng.randint(0, 40)
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        cuts = sorted(rng.randint(0, budget) for _ in range(battlefields - 1))
+        rows.append(tuple(b - a for a, b in zip([0, *cuts], [*cuts, budget])))
+    return PartitionMatrix(budget, battlefields, tuple(rows))
+
+
+def test_emit_writes_the_indented_layout_of_every_verb_payload(capsys):
+    """`solve`, `verify` and `implement` payloads, and seeded random matrices,
+    against the layout json.dumps(indent=2) gives them."""
+    specs = ((7, 2, 3), (7, 6, 2), (22, 21, 3), (93, 91, 7), (100, 2, 40), (1001, 500, 10))
+    payloads = [report_to_json(solve(GameSpec(*spec))) for spec in specs]
+    for flag in (True, False):
+        payloads.append({"secured_A": "3/4", "secured_B": "2/3", "equilibrium": flag})
+    payloads.append(matrix_to_json(build_EO(E, 3)))
+    rng = random.Random(20261020)
+    for _ in range(40):
+        a, b = random_matrix(rng), random_matrix(rng)
+        payloads += [matrix_to_json(a), {"A": matrix_to_json(a), "B": matrix_to_json(b)}]
+    for payload in payloads:
+        cli._emit(payload)
+        assert capsys.readouterr().out == indented_json(payload) + "\n"
 
 
 @pytest.mark.parametrize(
     "rows, layout",
-    [
-        ([[True, 1]], '[\n    [\n      true,\n      1\n    ]\n  ]'),
-        ([[1.5, 2]], '[\n    [\n      1.5,\n      2\n    ]\n  ]'),
-        ([["1"]], '[\n    [\n      "1"\n    ]\n  ]'),
-        ([[1, [2]]], '[\n    [\n      1,\n      [2]\n    ]\n  ]'),
-        ([[1], 2], '[\n    [1],\n    2\n  ]'),
-        ([[1], [2, [3]], 4], '[\n    [1],\n    [\n      2,\n      [3]\n    ],\n    4\n  ]'),
-        ([[-1, 2], [], [0]], '[\n    [-1, 2],\n    [],\n    [0]\n  ]'),
-    ],
-    ids=["bool", "float", "string", "nested", "bare-int", "mixed", "int-rows"],
+    [([[-1, 2], [], [0]], '[\n    [-1, 2],\n    [],\n    [0]\n  ]')],
+    ids=["int-rows"],
 )
 def test_emit_writes_only_int_rows_in_one_piece(capsys, rows, layout):
-    # Lists of lists that are not all plain ints keep the item-by-item
-    # layout; each expected string is what json.dumps(indent=2) would give,
-    # with every list of plain ints on one line.
+    # A matrix's rows, one per line, each as json.dumps writes it.
     cli._emit({"rows": rows})
     assert capsys.readouterr().out == '{\n  "rows": ' + layout + "\n}\n"
 
