@@ -16,7 +16,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .constructions import (
     P1,
@@ -323,15 +323,30 @@ def payoff_lotto(x: PartitionMatrix, y: PartitionMatrix) -> Rat:
 Lottery = tuple[tuple[tuple[int, ...], Fraction], ...]
 
 
+def _check_allocation_entries(entries: Iterable, shown: object) -> None:
+    """DimensionMismatch unless `entries` are all non-negative ints."""
+    entries = list(entries)
+    if set(map(type, entries)) != {int} or min(entries) < 0:
+        raise DimensionMismatch(f"allocation entries must be non-negative ints, got {shown!r}")
+
+
 def _as_lottery(side) -> Lottery:
     entries = list(side)
     if not entries:
         raise DimensionMismatch("a lottery needs at least one allocation")
     if not isinstance(entries[0], (tuple, list)):
         entries = [(entries, 1)]
+    for entry in entries:
+        if not (
+            isinstance(entry, (tuple, list))
+            and len(entry) == 2
+            and isinstance(entry[0], (tuple, list))
+        ):
+            raise DimensionMismatch(
+                f"a lottery entry must be an (allocation, probability) pair, got {entry!r}"
+            )
     allocations = [tuple(alloc) for alloc, _ in entries]
-    if set(map(type, itertools.chain.from_iterable(allocations))) != {int}:
-        raise DimensionMismatch(f"allocation entries must be ints, got {allocations!r}")
+    _check_allocation_entries(itertools.chain.from_iterable(allocations), allocations)
     probabilities = [prob for _, prob in entries]
     if not set(map(type, probabilities)) <= {int, Fraction}:
         raise BadWeights(f"probabilities must be ints or Fractions, got {probabilities!r}")
@@ -347,8 +362,9 @@ def payoff_blotto_exhaustive(x, y) -> Rat:
 
     Each argument is a sequence of (ordered allocation, probability) pairs,
     or a bare allocation standing for a pure strategy.  Allocation entries
-    must be ints (DimensionMismatch otherwise) and probabilities ints or
-    Fractions (BadWeights otherwise); a bool is neither.
+    must be non-negative ints and every lottery entry such a pair
+    (DimensionMismatch otherwise), and probabilities ints or Fractions
+    (BadWeights otherwise); a bool is neither.
     """
     lottery_x, lottery_y = _as_lottery(x), _as_lottery(y)
     battlefields = len(lottery_x[0][0])
@@ -369,15 +385,15 @@ def payoff_blotto_exhaustive(x, y) -> Rat:
 
 
 def symmetrize(allocation: Sequence[int], battlefields: int) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Uniform lottery over the distinct orderings of one allocation of ints."""
+    """Uniform lottery over the distinct orderings of one allocation of
+    non-negative ints."""
     if len(allocation) != battlefields:
         raise DimensionMismatch(
             f"allocation has {len(allocation)} entries for {battlefields} battlefields"
         )
     if battlefields > 6:
         raise TooLarge(f"symmetrization is bounded to K <= 6, got {battlefields}")
-    if set(map(type, allocation)) != {int}:
-        raise DimensionMismatch(f"allocation entries must be ints, got {allocation!r}")
+    _check_allocation_entries(allocation, allocation)
     orderings = sorted(set(itertools.permutations(allocation)), reverse=True)
     share = Fraction(1, len(orderings))
     return [(ordering, share) for ordering in orderings]

@@ -15,8 +15,8 @@ only explicit requests, never the solver.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, fields
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -113,8 +113,8 @@ class PartitionMatrix:
         one constructor that skips `__post_init__`.  `hcat` and `vcat` use it
         for rows glued from matrices that were checked when built."""
         matrix = object.__new__(cls)
-        for field, value in zip(fields(cls), values, strict=True):
-            object.__setattr__(matrix, field.name, value)
+        for name, value in zip(("budget", "battlefields", "rows"), values, strict=True):
+            object.__setattr__(matrix, name, value)
         return matrix
 
     @property
@@ -173,7 +173,8 @@ def hcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
         raise DimensionMismatch(
             f"hcat needs equal row counts, got {[p.row_count for p in parts]}"
         )
-    rows = tuple(map(tuple, map(chain.from_iterable, zip(*(p.rows for p in parts)))))
+    # Each glued row is its parts' rows added as tuples, in one `sum`.
+    rows = tuple(map(sum, zip(*(p.rows for p in parts)), repeat(())))
     return PartitionMatrix._trusted(
         sum(p.budget for p in parts), sum(p.battlefields for p in parts), rows
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadIndex, BadM, BadWeights, MalformedJSON
@@ -187,22 +188,21 @@ def gain_table(counts: Mapping[int, int], top: int) -> list[int]:
     Y follows the normalized counts map and `total` is the sum of its counts,
     so every entry is the integer 2*#{Y < t} + #{Y = t} - total: the sign
     kernel of `payoff_H` with a point mass on t, scaled to integers and
-    tabulated in one sweep over the sorted support.  g is non-decreasing and
-    constant from max(support) + 1 on.
+    tabulated from the dense counts #{Y = t} and their running sums.  g is
+    non-decreasing and constant from max(support) + 1 on.  Counts and their
+    points must be non-negative, with a positive total (BadWeights
+    otherwise).
     """
     total = sum(counts.values())
-    if total <= 0 or any(count < 0 for count in counts.values()):
-        raise BadWeights("a gain table needs non-negative counts with a positive total")
-    points = sorted(counts)
-    table = []
-    below = 0
-    index = 0
-    for t in range(top + 1):
-        while index < len(points) and points[index] < t:
-            below += counts[points[index]]
-            index += 1
-        table.append(2 * below + counts.get(t, 0) - total)
-    return table
+    if total <= 0 or min(counts.values()) < 0 or min(counts) < 0:
+        raise BadWeights(
+            "a gain table needs non-negative counts at non-negative points with a positive total"
+        )
+    dense = list(map(counts.get, range(top + 1), repeat(0)))
+    # accumulate yields #{Y < t} for t = 0, 1, ...: the counts below t.
+    return [
+        2 * below + count - total for below, count in zip(accumulate(dense, initial=0), dense)
+    ]
 
 
 class Hull(NamedTuple):
@@ -242,8 +242,8 @@ def normalized(counts: Mapping[int, int]) -> Dist:
 
 def vec_add(*vecs: Mapping[int, int]) -> IntVec:
     """Pointwise sum of counts maps."""
-    out: IntVec = {}
-    for vec in vecs:
+    out: IntVec = dict(vecs[0]) if vecs else {}
+    for vec in vecs[1:]:
         for point, count in vec.items():
             out[point] = out.get(point, 0) + count
     return {p: c for p, c in out.items() if c != 0}

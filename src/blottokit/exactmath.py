@@ -23,7 +23,8 @@ def rat(numerator: int, denominator: int = 1) -> Rat:
 
 def format_rat(value: Rat | int) -> str:
     """Render a rational as "p/q" (denominator kept even when it is 1)."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -1,15 +1,18 @@
 """Independent equilibrium certification by exact best-reply bounds.
 
 The certifier never trusts the closed forms.  For each claimed strategy it
-bounds the best payoff a pure reply can extract, from the upper concave
-hull of the reply's per-battlefield gain against the strategy's entry
-counts (the General Lotto relaxation of uniform battlefield matching, Hart
-2008).  When the two bounds meet, weak duality pins both security levels to
-that value and certifies an equilibrium; otherwise an exact dynamic program
-over battlefields and remaining budget computes both security levels, and
-the pair is an equilibrium exactly when they coincide.  The gain table and
-its hull depend on the matrix alone, so `tabulate` recounts a matrix once
-into an `Opponent` record that serves every reply budget.
+bounds the best payoff a pure reply can extract, by the smaller of two
+bounds against the strategy's entry counts: the upper concave hull of the
+reply's per-battlefield gain (the General Lotto relaxation of uniform
+battlefield matching, Hart 2008), and the gain of the reply's whole budget
+on every battlefield, since no entry of a reply exceeds its budget.  When
+the two players' bounds meet, weak duality pins both security levels to
+that value and certifies an equilibrium.  Otherwise an exact dynamic
+program over battlefields and remaining budget computes A's level first,
+which settles the pair when it reaches B's bound, and then B's; the pair is
+an equilibrium exactly when the levels coincide.  The gain table and its
+hull depend on the matrix alone, so `tabulate` recounts a matrix once into
+an `Opponent` record that serves every reply budget.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ class Certificate:
     `secured_by_A` is the floor A's strategy guarantees against any reply;
     `secured_by_B` is the ceiling B's strategy imposes; weak duality gives
     secured_by_A <= secured_by_B, with equality certifying an equilibrium.
-    `proof` is "bound" when the two hull bounds met and "dp" when both
-    levels come from the best-response dynamic program.
+    `proof` is "bound" when the two reply bounds met and "dp" when at least
+    one level comes from the best-response dynamic program.
     """
 
     secured_by_A: Rat
@@ -142,8 +145,9 @@ def _spread(hull: Hull, total: int, parts: int) -> tuple[int, int]:
     return parts * ys[i] * run + (ys[i + 1] - ys[i]) * (total - parts * xs[i]), run
 
 
-def _reply_bound(opponent: Opponent, budget: int, K: int) -> Rat:
-    """An upper bound on `best_response_value(opponent, budget, K)`.
+def _reply_bound(opponent: Opponent, budget: int, K: int) -> tuple[int, int]:
+    """An upper bound on `best_response_value(opponent, budget, K)`, as an
+    integer pair (num, den) with den > 0.
 
     The reply's K entries score sum(gain[t]) on the gain table the DP uses,
     which is at most the sum of the table's upper concave hull H, non-
@@ -151,7 +155,9 @@ def _reply_bound(opponent: Opponent, budget: int, K: int) -> Rat:
     s; by Jensen, K * H(budget / K).  A reply to an odd budget has an odd
     entry t, so the bound is then the best gain[t] + (K - 1) * H((budget -
     t) / (K - 1)) over odd t; an odd t past top + 1 gains nothing more and
-    leaves the others less.  The sums stay integer pairs, divided once.
+    leaves the others less.  No entry exceeds the budget and the gain is
+    non-decreasing, so K * gain[budget] bounds the sum too when budget <
+    top; the smaller of the two is returned.
     """
     gain, hull = opponent.gain, opponent.hull
     top = len(gain) - 1
@@ -164,7 +170,9 @@ def _reply_bound(opponent: Opponent, budget: int, K: int) -> Rat:
             n += gain[min(t, top)] * d
             if n * den > num * d:
                 num, den = n, d
-    return Fraction(num, den * opponent.matrix.row_count * K * K)
+    if budget < top and K * gain[budget] * den < num:
+        num, den = K * gain[budget], 1
+    return num, den * opponent.matrix.row_count * K * K
 
 
 def certify(
@@ -177,9 +185,12 @@ def certify(
     """Security levels of the claimed pair.
 
     Each strategy is a matrix, tabulated here, or its `Opponent` record.
-    The hull bounds squeeze secured_by_A from below and secured_by_B from
+    The reply bounds squeeze secured_by_A from below and secured_by_B from
     above; when they meet, weak duality makes both levels equal to them.
-    Otherwise two best-response runs compute the levels exactly.
+    Otherwise a best-response run computes secured_by_A exactly (its reply
+    budget B is the smaller one); when it reaches B's bound, secured_by_A
+    <= secured_by_B <= bound makes both levels equal, and only otherwise
+    does a second run compute secured_by_B.
     """
     if not (_whole(A) and _whole(B) and _whole(K)):
         raise DimensionMismatch(f"A, B and K must be ints, got ({A!r}, {B!r}, {K!r})")
@@ -197,10 +208,14 @@ def certify(
         )
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
-    ceiling = _reply_bound(side_B, A, K)
-    if -_reply_bound(side_A, B, K) == ceiling:
+    ceiling_num, ceiling_den = _reply_bound(side_B, A, K)
+    floor_num, floor_den = _reply_bound(side_A, B, K)
+    ceiling = Fraction(ceiling_num, ceiling_den)
+    if -floor_num * ceiling_den == ceiling_num * floor_den:
         return Certificate(ceiling, ceiling, True, "bound")
     secured_by_A = -best_response_value(side_A, B, K)
+    if secured_by_A == ceiling:
+        return Certificate(secured_by_A, secured_by_A, True, "dp")
     secured_by_B = best_response_value(side_B, A, K)
     return Certificate(secured_by_A, secured_by_B, secured_by_A == secured_by_B, "dp")
 

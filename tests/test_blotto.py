@@ -551,7 +551,18 @@ def test_payoff_blotto_exhaustive_examples():
     for lottery in ([((2, 2), True)], [((2, 2), 0.5), ((2, 2), 0.5)]):
         with pytest.raises(BadWeights):
             payoff_blotto_exhaustive(lottery, (3, 1))
-    for allocation in ((1.5, 2.5), (True, 3), [((2, 2.0), 1)]):
+    # A lottery entry is an (allocation, probability) pair, and allocation
+    # entries are never negative.
+    for allocation in (
+        (1.5, 2.5),
+        (True, 3),
+        [((2, 2.0), 1)],
+        [(2, 2)],
+        [((2, 2),)],
+        [((2, 2), 1, 0)],
+        (-1, 3),
+        [((-1, 3), 1)],
+    ):
         with pytest.raises(DimensionMismatch):
             payoff_blotto_exhaustive(allocation, (3, 1))
         with pytest.raises(DimensionMismatch):
@@ -568,7 +579,7 @@ def test_symmetrize_examples():
         symmetrize((1, 0), 3)
     with pytest.raises(TooLarge):
         symmetrize(tuple(range(7)), 7)
-    for allocation in ((1.5, 2.5), (True, 3), (2, 2.0)):
+    for allocation in ((1.5, 2.5), (True, 3), (2, 2.0), (-1, 3)):
         with pytest.raises(DimensionMismatch):
             symmetrize(allocation, 2)
 

@@ -7,8 +7,11 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from hashlib import sha256
+from itertools import chain
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blottokit import constructions, distributions
 from blottokit.constructions import (
@@ -141,6 +144,37 @@ def test_hcat_vcat():
         hcat([e2, build_EO(E, 3)])
     with pytest.raises(DimensionMismatch):
         vcat([e2, build_EO(E, 3)])
+
+
+@st.composite
+def equal_height_parts(draw):
+    """One to five matrices of one height, each of its own budget and width."""
+    height = draw(st.integers(1, 4))
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        width = draw(st.integers(1, 4))
+        budget = draw(st.integers(0, 6))
+        rows = []
+        for _ in range(height):
+            cuts = sorted(
+                draw(st.lists(st.integers(0, budget), min_size=width - 1, max_size=width - 1))
+            )
+            rows.append(tuple(b - a for a, b in zip([0, *cuts], [*cuts, budget])))
+        parts.append(PartitionMatrix(budget, width, rows))
+    return parts
+
+
+@given(equal_height_parts())
+def test_hcat_glues_each_row_of_its_parts(parts):
+    glued = hcat(parts)
+    assert glued.rows == tuple(
+        tuple(chain(*(part.rows[i] for part in parts))) for i in range(parts[0].row_count)
+    )
+    assert (glued.budget, glued.battlefields) == (
+        sum(part.budget for part in parts),
+        sum(part.battlefields for part in parts),
+    )
+    assert glued == PartitionMatrix(glued.budget, glued.battlefields, glued.rows)
 
 
 def test_partition_matrix_stores_rows_as_tuples():

@@ -170,11 +170,36 @@ def test_gain_table_prefix_is_the_shorter_table(counts, top, data):
     assert gain_table(counts, top)[: cap + 1] == gain_table(counts, cap)
 
 
+def sorted_sweep_gain_table(counts, top):
+    """The gain table by one sweep over the sorted support, entry by entry."""
+    total = sum(counts.values())
+    points = sorted(counts)
+    table = []
+    below = 0
+    index = 0
+    for t in range(top + 1):
+        while index < len(points) and points[index] < t:
+            below += counts[points[index]]
+            index += 1
+        table.append(2 * below + counts.get(t, 0) - total)
+    return table
+
+
+@given(small_counts, st.data())
+def test_gain_table_matches_the_sorted_sweep(counts, data):
+    # Tops from below the largest point, which the table then never reaches,
+    # to past it, where the table is flat.
+    top = data.draw(st.integers(min_value=0, max_value=max(counts) + 4))
+    assert gain_table(counts, top) == sorted_sweep_gain_table(counts, top)
+
+
 def test_gain_table_rejects_empty_or_negative_counts():
     with pytest.raises(BadWeights):
         gain_table({}, 3)
     with pytest.raises(BadWeights):
         gain_table({0: 2, 1: -1}, 3)
+    with pytest.raises(BadWeights):
+        gain_table({-1: 1, 2: 1}, 3)
 
 
 @given(small_dists, small_dists, st.integers(min_value=0, max_value=6))

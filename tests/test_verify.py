@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blottokit import verify
-from blottokit.blotto import GameSpec, classify, is_solved, solve, sweep_certify
+from blottokit.blotto import GameCase, GameSpec, classify, is_solved, solve, sweep_certify
 from blottokit.constructions import PartitionMatrix, build_EO, E
 from blottokit.distributions import payoff_H, point_mass
 from blottokit.errors import DimensionMismatch, InfeasibleRange
@@ -99,9 +100,9 @@ def test_hull_bound_caps_the_best_response(case):
     # Budget 0, odd and even budgets, and budgets past K * (max + 1), where
     # every battlefield can outbid the opponent's largest entry.
     opponent, budget, K = case
-    bound = verify._reply_bound(verify.tabulate(opponent), budget, K)
-    assert type(bound) is Fraction
-    assert bound >= best_response_value(opponent, budget, K)
+    num, den = verify._reply_bound(verify.tabulate(opponent), budget, K)
+    assert type(num) is int and type(den) is int and den > 0
+    assert Fraction(num, den) >= best_response_value(opponent, budget, K)
 
 
 def ordered_partitions(total: int, parts: int):
@@ -178,7 +179,7 @@ def test_certify_equilibrium_pairs():
 
 
 def test_hull_first_certificates_match_the_dp_over_the_solved_grid():
-    high_b = 0
+    proofs = Counter()
     for K in range(2, 9):
         for A in range(K + 1, 41):
             for B in range(1, A):
@@ -195,10 +196,54 @@ def test_hull_first_certificates_match_the_dp_over_the_solved_grid():
                     secured_by_B,
                     secured_by_A == secured_by_B,
                 ), spec
-                if case.value.startswith("HIGH_B_"):
-                    high_b += 1
-                    assert cert.proof == "bound", spec
-    assert high_b == 2692
+                kind = "HIGH_B" if case.value.startswith("HIGH_B_") else case.value
+                proofs[kind, cert.proof] += 1
+    # Every HIGH_B_* and LOW_B_TRIVIAL instance certifies from the bounds.
+    assert proofs == {
+        ("HIGH_B", "bound"): 2692,
+        ("LOW_B_TRIVIAL", "bound"): 1051,
+        ("LOW_B_EQUAL", "bound"): 28,
+        ("LOW_B_EQUAL", "dp"): 131,
+    }
+
+
+def test_largest_entry_bound_pins_low_b_trivial_replies():
+    # With B < m = A // K, every entry of A's one row is above B's whole
+    # budget, so each of B's replies loses every battlefield: K * gain[B]
+    # caps the reply at -1 exactly.  The hull bound alone is above -1 on 371
+    # of these 486 instances.
+    seen = 0
+    for K in range(2, 7):
+        for A in range(2 * K, 31):
+            for B in range(1, A // K):
+                spec = GameSpec(A, B, K)
+                assert classify(spec) is GameCase.LOW_B_TRIVIAL, spec
+                row = solve(spec).strategy_A
+                assert row.row_count == 1
+                assert Fraction(*verify._reply_bound(verify.tabulate(row), B, K)) == -1
+                seen += 1
+    assert seen == 486
+    assert solve(GameSpec(6, 2, 2)).certificate.proof == "bound"
+
+
+def test_certify_runs_the_second_dp_only_when_the_first_falls_short(monkeypatch):
+    # A's level comes first (reply budget B); when it already reaches B's
+    # bound, both levels are pinned and B's DP is skipped.
+    budgets = []
+    dp = verify.best_response_value
+
+    def counted(opponent, budget, K):
+        budgets.append(budget)
+        return dp(opponent, budget, K)
+
+    monkeypatch.setattr(verify, "best_response_value", counted)
+    for (A, B, K), want in (((4, 2, 2), [2]), ((6, 3, 2), [3, 6])):
+        budgets.clear()
+        report = solve(GameSpec(A, B, K))
+        assert budgets == want, (A, B, K)
+        dp_A = dp(report.strategy_A, B, K)
+        dp_B = dp(report.strategy_B, A, K)
+        assert report.certificate == Certificate(-dp_A, dp_B, -dp_A == dp_B, "dp")
 
 
 def test_certify_falls_back_to_the_dp_when_the_bounds_differ():
@@ -211,7 +256,7 @@ def test_certify_falls_back_to_the_dp_when_the_bounds_differ():
     assert rows[0] == (2, 4, 0, 10)
     rows[0] = (2, 4, 1, 9)
     moved = PartitionMatrix(B, K, tuple(rows))
-    assert verify._reply_bound(verify.tabulate(moved), A, K) == Fraction(797, 3360)
+    assert Fraction(*verify._reply_bound(verify.tabulate(moved), A, K)) == Fraction(797, 3360)
     cert = certify(report.strategy_A, moved, A, B, K)
     assert cert == Certificate(
         -best_response_value(report.strategy_A, B, K),
