@@ -203,16 +203,18 @@ def _regime(spec: GameSpec, case: GameCase) -> tuple[Rat, Plan, Plan]:
         else:
             defense = build_prop7_B, (m, K, B)
         return Fraction(A - B, A), (implement_u, (U_ODD, m, A, K)), defense
+    # (A - B)/A - B R (K - R)/(A scale), plus min(R, K - R)/scale at odd B,
+    # over the one denominator A scale.
     scale = (A - R) * (A + K - R)
-    value = Fraction(A - B, A) - Fraction(B * R * (K - R), A * scale)
+    numerator = (A - B) * scale - B * R * (K - R)
     # The two-point family realizes the strategy that also secures the
     # odd-B value, so it is used for every fractional case but Prop. 4's.
     attack = build_prop5_A, (m, K, A, P1 if 2 * R <= K else P2)
     if case is GameCase.HIGH_B_NDIV_EVEN:
         if (A - K) % 2 == 0:
             attack = build_prop4_A, (m, K, A)
-        return value, attack, (build_prop3_B, (m, K, B))
-    value += Fraction(min(R, K - R), scale)
+        return Fraction(numerator, A * scale), attack, (build_prop3_B, (m, K, B))
+    value = Fraction(numerator + A * min(R, K - R), A * scale)
     return value, attack, (build_prop7_B if 2 * R < K else build_prop10_B, (m, K, B))
 
 

@@ -16,20 +16,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import add, is_not
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .distributions import (
     Dist,
     IntVec,
     U_EVEN,
     U_ODD,
-    U_ODD_UP,
     base_vector,
     mean,
     normalized,
-    vbar_counts,
     vec_add,
     vec_scale,
 )
@@ -82,13 +81,17 @@ class PartitionMatrix:
             ) from None
         if self.battlefields < 1 or not rows:
             raise DimensionMismatch("need at least one row and one battlefield")
-        # One C-level pass per rule; only a failing matrix is walked row by
-        # row, to name its first bad row.
+        # One C-level pass per rule over the rows that are not the same object
+        # as the row before, so a part's rows (one tuple repeated) are checked
+        # once.  A row equal to the one before but another object, such as
+        # (True, 2) after (1, 2), is still checked.  A failing matrix alone is
+        # walked row by row, to name its first bad row.
+        distinct = tuple(compress(rows, map(is_not, rows, chain((None,), rows))))
         if (
-            set(map(len, rows)) != {self.battlefields}
-            or set(map(type, chain.from_iterable(rows))) != {int}
-            or min(map(min, rows)) < 0
-            or set(map(sum, rows)) != {self.budget}
+            set(map(len, distinct)) != {self.battlefields}
+            or set(map(type, chain.from_iterable(distinct))) != {int}
+            or min(chain.from_iterable(distinct)) < 0
+            or set(map(sum, distinct)) != {self.budget}
         ):
             for row in rows:
                 if len(row) != self.battlefields:
@@ -110,8 +113,9 @@ class PartitionMatrix:
     @classmethod
     def _trusted(cls, *values: object) -> PartitionMatrix:
         """A matrix from field values that already hold, with no check: the
-        one constructor that skips `__post_init__`.  `hcat` and `vcat` use it
-        for rows glued from matrices that were checked when built."""
+        one constructor that skips `__post_init__`.  `hcat`, `vcat` and
+        `_stacked` use it for rows glued from matrices that were checked when
+        built."""
         matrix = object.__new__(cls)
         for name, value in zip(("budget", "battlefields", "rows"), values, strict=True):
             object.__setattr__(matrix, name, value)
@@ -164,19 +168,28 @@ def cardinality(matrix: PartitionMatrix) -> IntVec:
 def hcat(parts: Sequence[PartitionMatrix]) -> PartitionMatrix:
     """Rows glued side by side; budgets add, row counts must agree.
 
-    The parts were checked when built, so the result is not checked again.
+    The parts were checked when built, so the result is not checked again,
+    and a single part is the result itself.
     """
     if not parts:
         raise DimensionMismatch("hcat needs at least one matrix")
+    if len(parts) == 1:
+        return parts[0]
     height = parts[0].row_count
     if any(p.row_count != height for p in parts):
         raise DimensionMismatch(
             f"hcat needs equal row counts, got {[p.row_count for p in parts]}"
         )
-    # Each glued row is its parts' rows added as tuples, in one `sum`.
-    rows = tuple(map(sum, zip(*(p.rows for p in parts)), repeat(())))
+    # Each glued row is its parts' rows added as tuples, one streamed
+    # `map(add, ...)` per part; the rows are materialized every 64 parts, so
+    # that the nested iterators stay shallow whatever the number of parts.
+    rows = parts[0].rows
+    for index, part in enumerate(parts[1:], 1):
+        rows = map(add, rows, part.rows)
+        if index % 64 == 0:
+            rows = tuple(rows)
     return PartitionMatrix._trusted(
-        sum(p.budget for p in parts), sum(p.battlefields for p in parts), rows
+        sum(p.budget for p in parts), sum(p.battlefields for p in parts), tuple(rows)
     )
 
 
@@ -213,18 +226,20 @@ def _grids(kind: str, m: int, height: int, copies: int) -> list[_Piece]:
     if copies <= 0:
         return []
     grid, counts = _grid(kind, m)
-    return [(vcat([grid] * height), vec_scale(height, counts))] * copies
+    return [(_stacked(grid, height), vec_scale(height, counts))] * copies
 
 
 def _zeros(height: int, width: int) -> list[_Piece]:
-    """A block of zeros `width` columns wide; none when width <= 0."""
+    """A block of zeros `width` columns wide; none when width <= 0.  Its one
+    row is checked once, as a leaf of one row."""
     if width <= 0:
         return []
-    return [(PartitionMatrix(0, width, ((0,) * width,) * height), {0: height * width})]
+    return [(_stacked(PartitionMatrix(0, width, ((0,) * width,)), height), {0: height * width})]
 
 
-def _delta(count: int) -> IntVec:
-    return {0: count} if count else {}
+def _stacked(leaf: PartitionMatrix, height: int) -> PartitionMatrix:
+    """`vcat([leaf] * height)` in one tuple repetition, with no shapes to compare."""
+    return PartitionMatrix._trusted(leaf.budget, leaf.battlefields, leaf.rows * height)
 
 
 # --- proposition targets ------------------------------------------------------
@@ -236,57 +251,59 @@ def _delta(count: int) -> IntVec:
 
 def _prop3_counts(m: int, K: int, budget: int) -> IntVec:
     """Zero spike blended with the even grid (even defender budgets)."""
-    return vec_add(
-        _delta((K * m - budget) * (m + 1)), vec_scale(budget, base_vector(U_EVEN, m))
-    )
+    counts = dict.fromkeys(range(0, 2 * m + 1, 2), budget)
+    counts[0] += (K * m - budget) * (m + 1)
+    return counts
 
 
 def _prop4_counts(m: int, K: int, budget: int) -> IntVec:
     """Odd grids of sizes m and m + 1 in the ratio K - r to r."""
     r = budget - K * m
-    return vec_add(
-        vec_scale((K - r) * (m + 1), base_vector(U_ODD, m)),
-        vec_scale(r * m, base_vector(U_ODD, m + 1)),
-    )
+    counts = dict.fromkeys(range(1, 2 * m, 2), K * (m + 1) - r)
+    counts[2 * m + 1] = r * m
+    return counts
 
 
 def _prop5_counts(m: int, K: int, budget: int) -> IntVec:
-    """Spike-sum and odd grids: point P1 when 2r <= K, P2 otherwise."""
+    """Spike-sum and odd grids: point P1 when 2r <= K, P2 otherwise.
+
+    The spike-sum (`vbar_counts(m)`) holds 2m - v copies of each odd v and
+    v copies of each even v in [1, 2m].  P1 is r spike-sums plus
+    K(m + 1) - r(2m + 1) odd grids of size m; P2 is K - r spike-sums and odd
+    grids of size m plus (2r - K)m odd grids of size m + 1.
+    """
     r = budget - K * m
     if 2 * r <= K:
-        return vec_add(
-            vec_scale(r, vbar_counts(m)),
-            vec_scale(K * (m + 1) - r * (2 * m + 1), base_vector(U_ODD, m)),
-        )
-    return vec_add(
-        vec_scale(K - r, vec_add(vbar_counts(m), base_vector(U_ODD, m))),
-        vec_scale((2 * r - K) * m, base_vector(U_ODD, m + 1)),
-    )
+        return {v: K * (m + 1) - r * (v + 1) if v % 2 else r * v for v in range(1, 2 * m + 1)}
+    odd = (2 * r - K) * m
+    counts = {
+        v: (K - r) * (2 * m + 1 - v) + odd if v % 2 else (K - r) * v
+        for v in range(1, 2 * m + 1)
+    }
+    counts[2 * m + 1] = odd
+    return counts
 
 
 def _prop6_counts(m: int, K: int) -> IntVec:
     """Zero spike, odd grid and interior even grid (defender budget 2m - 1)."""
-    counts = vec_add(_delta(K * m - 2 * m + 1), base_vector(U_ODD, m))
-    return vec_add(counts, base_vector(U_ODD_UP, m)) if m > 1 else counts
+    return {0: (K - 2) * m + 1, **dict.fromkeys(range(1, 2 * m), 1)}
 
 
 def _prop7_counts(m: int, K: int, budget: int) -> IntVec:
     """Zero spike, odd grid and even grid (odd defender budgets, 2r < K)."""
-    return vec_add(
-        _delta((K * m - budget) * (m + 1)),
-        vec_scale(m + 1, base_vector(U_ODD, m)),
-        vec_scale(budget - m, base_vector(U_EVEN, m)),
-    )
+    counts = dict.fromkeys(range(0, 2 * m + 1, 2), budget - m)
+    counts[0] += (K * m - budget) * (m + 1)
+    counts.update(dict.fromkeys(range(1, 2 * m, 2), m + 1))
+    return counts
 
 
 def _prop10_counts(m: int, K: int, budget: int) -> IntVec:
     """Zero spike, enlarged odd grid and even grid (odd defender budgets, 2r >= K)."""
     base = budget - 1
-    return vec_add(
-        _delta((K * m - base) * (m + 1)),
-        vec_scale(m, base_vector(U_ODD, m + 1)),
-        vec_scale(base - m, base_vector(U_EVEN, m)),
-    )
+    counts = dict.fromkeys(range(0, 2 * m + 1, 2), base - m)
+    counts[0] += (K * m - base) * (m + 1)
+    counts.update(dict.fromkeys(range(1, 2 * m + 2, 2), m))
+    return counts
 
 
 # --- block machinery -------------------------------------------------------
@@ -312,15 +329,13 @@ def _prop10_counts(m: int, K: int, budget: int) -> IntVec:
 # others.
 
 
-@dataclass(frozen=True)
-class _Part:
+class _Part(NamedTuple):
     index: int
     row: tuple[int, ...]
     reps: int
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     name: str
     parts: tuple[_Part, ...]
     tag: int = 0

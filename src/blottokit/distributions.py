@@ -233,7 +233,13 @@ def upper_hull(gain: Sequence[int], points: range) -> Hull:
 
 
 def normalized(counts: Mapping[int, int]) -> Dist:
-    """Counts map scaled by the reciprocal of its total."""
+    """Counts map scaled by the reciprocal of its total.
+
+    Counts must be `int`s; a `bool`, a `float` or a `Fraction` raises
+    BadWeights.
+    """
+    if not set(map(type, counts.values())) <= {int}:
+        raise BadWeights(f"counts must be ints, got {list(counts.values())!r}")
     total = sum(counts.values())
     if total <= 0:
         raise BadWeights("cannot normalize an empty counts map")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -50,7 +51,9 @@ from blottokit.distributions import (
     normalized,
     point_mass,
     vbar,
+    vbar_counts,
     vec_add,
+    vec_scale,
 )
 from blottokit.general_lotto import LottoSpec, lotto_optimal_A, lotto_optimal_B
 from blottokit.errors import (
@@ -177,6 +180,15 @@ def test_hcat_glues_each_row_of_its_parts(parts):
     assert glued == PartitionMatrix(glued.budget, glued.battlefields, glued.rows)
 
 
+def test_hcat_glues_hundreds_of_parts():
+    # More parts than hcat streams before it materializes the glued rows.
+    parts = [PartitionMatrix(j % 3, 1, ((j % 3,), (j % 3,))) for j in range(200)]
+    glued = hcat(parts)
+    row = tuple(j % 3 for j in range(200))
+    assert glued.rows == (row, row)
+    assert (glued.budget, glued.battlefields) == (sum(row), 200)
+
+
 def test_partition_matrix_stores_rows_as_tuples():
     from_lists = PartitionMatrix(2, 2, [[1, 1], [2, 0]])
     from_tuples = PartitionMatrix(2, 2, ((1, 1), (2, 0)))
@@ -192,6 +204,29 @@ def test_partition_matrix_stores_rows_as_tuples():
 def test_partition_matrix_rejects_non_iterable_rows(rows):
     with pytest.raises(DimensionMismatch, match="iterable of rows"):
         PartitionMatrix(2, 2, rows)
+
+
+@pytest.mark.parametrize(
+    "budget, good, bad, message",
+    [
+        (2, (1, 1), (1, True), "row (1, True) has a non-integer entry"),
+        (4, (2, 2), (2.0, 2), "row (2.0, 2) has a non-integer entry"),
+        (4, (2, 2), (5, -1), "row (5, -1) has a negative entry"),
+        (4, (2, 2), (4,), "row (4,) has 1 entries, expected 2"),
+        (4, (2, 2), (3, 2), "row (3, 2) sums to 5, expected budget 4"),
+    ],
+    ids=["bool-entry", "float-entry", "negative-entry", "wrong-length", "wrong-sum"],
+)
+@pytest.mark.parametrize("layout", ["bad-row-repeated", "bad-row-after-repeated-good-rows"])
+def test_partition_matrix_names_its_first_bad_row(budget, good, bad, message, layout):
+    # A row repeated as one object is checked once; a bad one must still be
+    # named, and so must a bad row that follows many copies of a good one.
+    rows = [bad] * 3 if layout == "bad-row-repeated" else [good] * 5 + [bad]
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        PartitionMatrix(budget, 2, rows)
+    # Of two bad rows the first is named, whatever the later one breaks.
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        PartitionMatrix(budget, 2, [good] * 2 + [bad] + [(budget, 0, 0)] * 2)
 
 
 def test_only_leaves_are_validated(monkeypatch):
@@ -754,6 +789,65 @@ def test_counts_functions_are_the_lotto_closed_forms():
                     )
                     checked += 2
     assert checked == 2672
+
+
+def _composed_counts(prop: int, m: int, K: int, budget: int) -> dict[int, int]:
+    """Each proposition's counts as its sum of scaled base vectors: the
+    reference that `_propN_counts`' direct formulas must equal exactly."""
+    if prop in (3, 7, 10):
+        base = budget - 1 if prop == 10 else budget
+        spike = (K * m - base) * (m + 1)
+        delta = {0: spike} if spike else {}
+        even = vec_scale(base if prop == 3 else base - m, base_vector(U_EVEN, m))
+        if prop == 3:
+            return vec_add(delta, even)
+        if prop == 7:
+            return vec_add(delta, vec_scale(m + 1, base_vector(U_ODD, m)), even)
+        return vec_add(delta, vec_scale(m, base_vector(U_ODD, m + 1)), even)
+    if prop == 6:
+        counts = vec_add({0: K * m - 2 * m + 1}, base_vector(U_ODD, m))
+        return vec_add(counts, base_vector(U_ODD_UP, m)) if m > 1 else counts
+    r = budget - K * m
+    if prop == 4:
+        return vec_add(
+            vec_scale((K - r) * (m + 1), base_vector(U_ODD, m)),
+            vec_scale(r * m, base_vector(U_ODD, m + 1)),
+        )
+    if 2 * r <= K:
+        return vec_add(
+            vec_scale(r, vbar_counts(m)),
+            vec_scale(K * (m + 1) - r * (2 * m + 1), base_vector(U_ODD, m)),
+        )
+    return vec_add(
+        vec_scale(K - r, vec_add(vbar_counts(m), base_vector(U_ODD, m))),
+        vec_scale((2 * r - K) * m, base_vector(U_ODD, m + 1)),
+    )
+
+
+def test_counts_formulas_equal_the_base_vector_compositions():
+    # Exact counts, not only their normalized distributions: a core is
+    # checked against these maps entry for entry.  The budgets are those
+    # each proposition's builder accepts (Prop. 5's at both points).
+    checked = 0
+    for m in range(1, 13):
+        for K in range(2, 11):
+            budgets = {
+                3: range(2 * m, K * m + 1, 2),
+                4: [K * m + r for r in range(1, K) if (K * m + r - K) % 2 == 0],
+                5: range(K * m + 1, K * m + K),
+                7: range(2 * m + 1, K * m + 1, 2),
+                10: range(2 * m + 1, K * m + 1, 2),
+            }
+            for prop, each in budgets.items():
+                counts = getattr(constructions, f"_prop{prop}_counts")
+                for budget in each:
+                    assert counts(m, K, budget) == _composed_counts(prop, m, K, budget), (
+                        prop, m, K, budget,
+                    )
+                    checked += 1
+            assert constructions._prop6_counts(m, K) == _composed_counts(6, m, K, 0), (m, K)
+            checked += 1
+    assert checked == 5220
 
 
 @pytest.mark.parametrize(

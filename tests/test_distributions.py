@@ -247,6 +247,17 @@ def test_normalized_counts():
     assert normalized({0: 2, 2: 2, 4: 2}) == base_dist(U_EVEN, 2)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [{1: 0.5}, {1: True}, {0: 1, 1: 2.0}, {0: 1, 1: Fraction(1)}],
+    ids=["float", "bool", "float-beside-int", "fraction"],
+)
+def test_normalized_rejects_counts_that_are_not_ints(counts):
+    # {1: 0.5} used to raise a bare TypeError and {1: True} gave a point mass.
+    with pytest.raises(BadWeights, match="^counts must be ints"):
+        normalized(counts)
+
+
 def test_json_round_trip():
     d = mix([(Fraction(1, 3), point_mass(0)), (Fraction(2, 3), base_dist(U_ODD, 2))])
     blob = dist_to_json(d)
