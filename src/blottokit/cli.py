@@ -10,14 +10,9 @@ from typing import Iterator
 
 from .blotto import GameSpec, blotto_value, classify, report_to_json, solve, sweep_certify
 from .constructions import (
-    E,
-    O,
     P1,
     P2,
     PartitionMatrix,
-    RE,
-    RO,
-    build_EO,
     build_prop3_B,
     build_prop4_A,
     build_prop5_A,
@@ -108,7 +103,9 @@ def _cmd_lotto_value(args: argparse.Namespace) -> None:
 def _closed_form_candidates(
     target: Dist, budget: int, battlefields: int
 ) -> Iterator[PartitionMatrix]:
-    """Yield matrices from the named builders that could realize the target."""
+    """Yield matrices on `battlefields` columns from the named builders that
+    could realize the target.  A grid target goes to `implement_u`, whose
+    matrices at K = 2 and K = 3 are the E/O and RE/RO grids."""
     if budget % battlefields == 0 and budget >= battlefields:
         grid = budget // battlefields
         for kind in (U_ODD, U_EVEN):
@@ -126,10 +123,6 @@ def _closed_form_candidates(
         lambda m: build_prop7_B(m, battlefields, budget),
         lambda m: build_prop10_B(m, battlefields, budget),
     ]
-    if battlefields == 2:
-        builders += [lambda m: build_EO(E, m), lambda m: build_EO(O, m)]
-    if battlefields == 3:
-        builders += [lambda m: build_EO(RE, m), lambda m: build_EO(RO, m)]
     # Every builder at parameter m tops out at 2m - 1, 2m or 2m + 1.
     top = target.max_support()
     for m in range(max(top // 2, 1), (top + 1) // 2 + 1):
@@ -156,11 +149,7 @@ def _cmd_implement(args: argparse.Namespace) -> None:
         )
     match: PartitionMatrix | None = None
     for candidate in _closed_form_candidates(target, args.c, args.k):
-        if (
-            candidate.budget == args.c
-            and candidate.battlefields == args.k
-            and candidate.to_dist() == target
-        ):
+        if candidate.budget == args.c and candidate.to_dist() == target:
             match = candidate
             break
     if match is None and args.search:

@@ -60,6 +60,22 @@ P2 = "P2"
 _NODE_BUDGET = 2_000_000
 
 
+def _require_ints(**values: object) -> None:
+    """Raise DimensionMismatch naming the first value that is not an `int`
+    (a `bool` is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DimensionMismatch(f"{name} must be an int, got {value!r}")
+
+
+def _check_sizes(m: int, K: int, **budget: int) -> None:
+    """Raise DimensionMismatch unless m, K and the named budget are `int`s,
+    then BadM unless m >= 1 and K >= 2."""
+    _require_ints(m=m, K=K, **budget)
+    if m < 1 or K < 2:
+        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+
+
 @dataclass(frozen=True)
 class PartitionMatrix:
     """L x K matrix of non-negative integers whose rows all sum to `budget`."""
@@ -69,10 +85,7 @@ class PartitionMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        for name in ("budget", "battlefields"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DimensionMismatch(f"{name} must be an int, got {value!r}")
+        _require_ints(budget=self.budget, battlefields=self.battlefields)
         try:
             rows = tuple(map(tuple, self.rows))
         except TypeError:
@@ -427,6 +440,7 @@ def _glue(
 
 def build_EO(kind: str, m: int) -> PartitionMatrix:
     """Two-column (E/O) or three-column (RE/RO) grid matrix of size parameter m."""
+    _require_ints(m=m)
     return _grid(kind, m)[0]
 
 
@@ -464,8 +478,7 @@ def implement_u(kind: str, m: int, C: int, K: int) -> PartitionMatrix:
     """Matrix whose normalized cardinality is the odd or even grid distribution."""
     if kind not in (U_ODD, U_EVEN):
         raise BadIndex(f"implement_u needs U_ODD or U_EVEN, got {kind!r}")
-    if m < 1 or K < 2:
-        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+    _check_sizes(m, K, C=C)
     if C != m * K:
         raise MeanMismatch(
             f"grid mean is {m}, so budget {C} over {K} battlefields needs C = {m * K}"
@@ -665,8 +678,7 @@ def _st_core(
 
 def build_prop3_B(m: int, K: int, B: int) -> PartitionMatrix:
     """Defender matrix for even B in [2m, Km]: zero spike blended with the even grid."""
-    if m < 1 or K < 2:
-        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+    _check_sizes(m, K, B=B)
     if B % 2:
         raise InfeasibleParity(f"this family needs an even budget, got B={B}")
     if not 2 * m <= B <= K * m:
@@ -757,8 +769,7 @@ def _r3_blocks(m: int) -> list[_Block]:
 
 def build_prop4_A(m: int, K: int, A: int) -> PartitionMatrix:
     """Attacker matrix for K-indivisible A of the same parity as K."""
-    if m < 1 or K < 2:
-        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+    _check_sizes(m, K, A=A)
     if A <= K or A % K == 0 or A // K != m:
         raise BadCase(f"need A > K, K not dividing A and m = A // K, got ({m}, {K}, {A})")
     if (A - K) % 2:
@@ -1229,8 +1240,7 @@ def _prop5_pieces(m: int, K: int, r: int, point: str) -> list[_Piece]:
 
 def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
     """Attacker matrix for K-indivisible A; P1 for small remainders, P2 for large."""
-    if m < 1 or K < 2:
-        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+    _check_sizes(m, K, A=A)
     if A <= K or A % K == 0 or A // K != m:
         raise BadCase(f"need A > K, K not dividing A and m = A // K, got ({m}, {K}, {A})")
     r = A % K
@@ -1253,8 +1263,7 @@ def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
 
 def build_prop6_B(m: int, K: int) -> PartitionMatrix:
     """Defender staircase for budget 2m-1: each level below 2m equally represented."""
-    if m < 1 or K < 2:
-        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+    _check_sizes(m, K)
     rows = [(j, 2 * m - 1 - j) for j in range(m)]
     core = _core(f"prop6({m})", 2 * m - 1, 2, rows, _prop6_counts(m, 2))
     return _glue(
@@ -1304,8 +1313,7 @@ def build_prop7_B(m: int, K: int, B: int) -> PartitionMatrix:
     (tilde-S, tilde-T); at B = Km (K and m odd, so no zero spike) it is the
     3-column `_full_width_rows` core.
     """
-    if m < 1 or K < 2:
-        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+    _check_sizes(m, K, B=B)
     if B % 2 == 0:
         raise InfeasibleParity(f"this family needs an odd budget, got B={B}")
     if not 2 * m < B <= K * m:
@@ -1352,8 +1360,7 @@ def build_prop10_B(m: int, K: int, B: int) -> PartitionMatrix:
     The core is S or T with one unit added to every row (tilde-S, tilde-T);
     at B - 1 = Lm with L even it is m copies of the rows (0, 2i+1, 2m-2i).
     """
-    if m < 1 or K < 2:
-        raise BadM(f"need m >= 1 and K >= 2, got m={m}, K={K}")
+    _check_sizes(m, K, B=B)
     if B % 2 == 0:
         raise InfeasibleParity(f"this family needs an odd budget, got B={B}")
     if not 2 * m + 1 <= B <= K * m:

@@ -5,11 +5,13 @@ immutable exact probability distribution. The five base families (odd grid,
 even grid, interior-even grid, and the two two-spike patterns) are the
 building blocks of every optimal strategy emitted by the solver.
 `gain_table` and `upper_hull` tabulate a reply's gain against a counts map
-and its concave envelope, for the best-reply oracles and the certifier.
+and its concave envelope, and `hull_height` reads that envelope's height,
+for the best-reply oracles and the certifier.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -45,14 +47,13 @@ class Dist:
         _check_exact(weights.values())
         cleaned: dict[int, Fraction] = {}
         for point, weight in weights.items():
-            weight = Fraction(weight)
             if weight == 0:
                 continue
             if weight < 0:
                 raise BadWeights(f"negative weight {weight} at {point}")
             if point < 0:
                 raise BadWeights(f"negative support point {point}")
-            cleaned[point] = cleaned.get(point, Fraction(0)) + weight
+            cleaned[point] = Fraction(weight)
         if sum(cleaned.values(), Fraction(0)) != 1:
             raise BadWeights(f"weights sum to {sum(cleaned.values())}, not 1")
         return cls(tuple(sorted(cleaned.items())))
@@ -79,26 +80,38 @@ def point_mass(point: int) -> Dist:
     return Dist.from_weights({point: 1})
 
 
+def _whole(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_m(name: str, m: int, least: int) -> None:
+    """Raise BadM unless m is an `int` (a `bool` is not) of at least `least`."""
+    if not _whole(m):
+        raise BadM(f"{name} needs an int m, got {m!r}")
+    if m < least:
+        raise BadM(f"{name} needs m >= {least}, got {m}")
+
+
 def base_vector(kind: str, m: int, j: int | None = None) -> IntVec:
-    """Counts map of the requested base family member over [0, 2m(+1)]."""
+    """Counts map of the requested base family member over [0, 2m(+1)].
+
+    m must be an `int` (BadM otherwise) and j, for W and V, an `int`
+    (BadIndex otherwise).
+    """
     if kind in (U_ODD, U_EVEN, U_ODD_UP):
         if j is not None:
             raise BadIndex(f"{kind} takes no index j")
         if kind == U_ODD:
-            if m < 1:
-                raise BadM(f"U_ODD needs m >= 1, got {m}")
+            _check_m(U_ODD, m, 1)
             return {2 * i + 1: 1 for i in range(m)}
         if kind == U_EVEN:
-            if m < 1:
-                raise BadM(f"U_EVEN needs m >= 1, got {m}")
+            _check_m(U_EVEN, m, 1)
             return {2 * i: 1 for i in range(m + 1)}
-        if m < 2:
-            raise BadM(f"U_ODD_UP needs m >= 2, got {m}")
+        _check_m(U_ODD_UP, m, 2)
         return {2 * i: 1 for i in range(1, m)}
     if kind == W:
-        if m < 2:
-            raise BadM(f"W needs m >= 2, got {m}")
-        if j is None or not 1 <= j <= m - 1:
+        _check_m(W, m, 2)
+        if not _whole(j) or not 1 <= j <= m - 1:
             raise BadIndex(f"W needs 1 <= j <= m-1, got j={j}, m={m}")
         counts: IntVec = {0: 1, 2 * j: 1}
         for even in range(2, 2 * j - 1, 2):
@@ -107,9 +120,8 @@ def base_vector(kind: str, m: int, j: int | None = None) -> IntVec:
             counts[odd] = 2
         return counts
     if kind == V:
-        if m < 1:
-            raise BadM(f"V needs m >= 1, got {m}")
-        if j is None or not 1 <= j <= m:
+        _check_m(V, m, 1)
+        if not _whole(j) or not 1 <= j <= m:
             raise BadIndex(f"V needs 1 <= j <= m, got j={j}, m={m}")
         counts = {2 * j - 1: 1}
         for odd in range(1, 2 * j - 2, 2):
@@ -132,8 +144,7 @@ def vbar_counts(m: int) -> IntVec:
     2(m - i) + 1 times; 2i appears twice in each V(j, m) with j <= i, so 2i
     times.
     """
-    if m < 1:
-        raise BadM(f"vbar needs m >= 1, got {m}")
+    _check_m("vbar", m, 1)
     return {v: 2 * m - v if v % 2 else v for v in range(1, 2 * m + 1)}
 
 
@@ -147,7 +158,7 @@ def vbar(m: int) -> Dist:
 
 
 def mix(parts: Sequence[tuple[Rat | int, Dist]]) -> Dist:
-    """Convex combination of distributions; zero-weight parts are dropped."""
+    """Convex combination of distributions; a zero-weight part adds no point."""
     weights = [weight for weight, _ in parts]
     _check_exact(weights)
     total = sum(weights, Fraction(0))
@@ -155,9 +166,6 @@ def mix(parts: Sequence[tuple[Rat | int, Dist]]) -> Dist:
         raise BadWeights(f"mixture weights sum to {total}, not 1")
     combined: dict[int, Fraction] = {}
     for weight, dist in parts:
-        weight = Fraction(weight)
-        if weight == 0:
-            continue
         if weight < 0:
             raise BadWeights(f"negative mixture weight {weight}")
         for point, prob in dist.items:
@@ -230,6 +238,17 @@ def upper_hull(gain: Sequence[int], points: range) -> Hull:
         xs.append(x)
         ys.append(y)
     return Hull(xs, ys)
+
+
+def hull_height(hull: Hull, num: int, den: int) -> tuple[int, int]:
+    """The hull's height at num/den >= xs[0], den > 0, as an integer pair
+    (n, d) with d > 0: linear between vertices, flat past the last one."""
+    xs, ys = hull
+    i = bisect_right(xs, num // den) - 1
+    if i == len(xs) - 1:
+        return ys[i], 1
+    run = (xs[i + 1] - xs[i]) * den
+    return ys[i] * run + (ys[i + 1] - ys[i]) * (num - xs[i] * den), run
 
 
 def normalized(counts: Mapping[int, int]) -> Dist:

@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from .distributions import (
     Dist,
-    Hull,
     U_EVEN,
     U_ODD,
     base_dist,
     gain_table,
+    hull_height,
     mix,
     normalized,
     point_mass,
@@ -156,15 +156,6 @@ def lotto_optimal_B(spec: LottoSpec, uniform_member: bool = False) -> Dist:
     )
 
 
-def _hull_value(hull: Hull, x: Fraction) -> Fraction:
-    """The hull's height at x, for xs[0] <= x <= xs[-1], found by bisection."""
-    xs, ys = hull
-    i = bisect_right(xs, x) - 1
-    if xs[i] == x:
-        return Fraction(ys[i])
-    return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
-
-
 def _floor_binds(
     gain: list[int], top: int, budget: Fraction, floor: Fraction
 ) -> Fraction | None:
@@ -183,7 +174,7 @@ def _floor_binds(
     if floor == 1:
         if not odd.xs[0] <= budget <= odd.xs[-1]:
             return None
-        return _hull_value(odd, budget)
+        return Fraction(*hull_height(odd, budget.numerator, budget.denominator))
     even = upper_hull(gain, range(0, top + 1, 2))
     rest = 1 - floor
     low = max(Fraction(odd.xs[0]), (budget - rest * even.xs[-1]) / floor)
@@ -197,8 +188,9 @@ def _floor_binds(
         if low < x < high:
             breaks.add(x)
     return max(
-        floor * _hull_value(odd, x) + rest * _hull_value(even, (budget - floor * x) / rest)
-        for x in breaks
+        floor * Fraction(*hull_height(odd, x.numerator, x.denominator))
+        + rest * Fraction(*hull_height(even, y.numerator, y.denominator))
+        for x, y in ((x, (budget - floor * x) / rest) for x in breaks)
     )
 
 
@@ -237,19 +229,20 @@ def envelope_best_response(
     gain = gain_table(
         {p: w.numerator * (scale // w.denominator) for p, w in opponent.items}, top
     )
-    xs, ys = upper_hull(gain, range(top + 1))
-    i = bisect_right(xs, budget) - 1
-    if xs[i] == budget:
-        best = Fraction(ys[i])
-        odd_mass = Fraction(xs[i] % 2)
-    else:
+    hull = upper_hull(gain, range(top + 1))
+    if odd_floor is not None:
+        # The two hull vertices around the budget (top, a vertex, lies above
+        # it) mix to the unconstrained optimum; the floor binds only when
+        # that reply's odd mass falls short of it.
+        xs = hull.xs
+        i = bisect_right(xs, budget) - 1
         upper = (budget - xs[i]) / (xs[i + 1] - xs[i])
-        best = ys[i] + (ys[i + 1] - ys[i]) * upper
-        odd_mass = (1 - upper) * (xs[i] % 2) + upper * (xs[i + 1] % 2)
-    if odd_floor is not None and odd_mass < odd_floor:
-        best = _floor_binds(gain, top, budget, odd_floor)
-        if best is None:
-            raise OutOfTheoremScope(
-                f"no feasible strategy with mean {budget} and odd-mass floor {odd_floor}"
-            )
-    return best / scale
+        if (1 - upper) * (xs[i] % 2) + upper * (xs[i + 1] % 2) < odd_floor:
+            best = _floor_binds(gain, top, budget, odd_floor)
+            if best is None:
+                raise OutOfTheoremScope(
+                    f"no feasible strategy with mean {budget} and odd-mass floor {odd_floor}"
+                )
+            return best / scale
+    num, den = hull_height(hull, budget.numerator, budget.denominator)
+    return Fraction(num, den * scale)

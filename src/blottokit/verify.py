@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from .constructions import PartitionMatrix, cardinality
-from .distributions import Hull, gain_table, upper_hull
+from .distributions import Hull, gain_table, hull_height, upper_hull
 from .errors import DimensionMismatch, InfeasibleRange
 from .exactmath import Rat, format_rat
 
@@ -134,17 +133,6 @@ def best_response_value(
     return Fraction(best[-1], opponent.matrix.row_count * K * K)
 
 
-def _spread(hull: Hull, total: int, parts: int) -> tuple[int, int]:
-    """parts * H(total / parts) as an integer pair (num, den), H being the
-    hull of a gain table through (0, gain[0]), flat past its last vertex."""
-    xs, ys = hull
-    i = bisect_right(xs, total // parts) - 1
-    if i == len(xs) - 1:
-        return parts * ys[i], 1
-    run = xs[i + 1] - xs[i]
-    return parts * ys[i] * run + (ys[i + 1] - ys[i]) * (total - parts * xs[i]), run
-
-
 def _reply_bound(opponent: Opponent, budget: int, K: int) -> tuple[int, int]:
     """An upper bound on `best_response_value(opponent, budget, K)`, as an
     integer pair (num, den) with den > 0.
@@ -162,12 +150,13 @@ def _reply_bound(opponent: Opponent, budget: int, K: int) -> tuple[int, int]:
     gain, hull = opponent.gain, opponent.hull
     top = len(gain) - 1
     if budget % 2 == 0:
-        num, den = _spread(hull, budget, K)
+        num, den = hull_height(hull, budget, K)
+        num *= K
     else:
         num, den = -1, 0  # below every pair with a positive den
         for t in range(1, min(budget, top + 1) + 1, 2):
-            n, d = _spread(hull, budget - t, K - 1)
-            n += gain[min(t, top)] * d
+            n, d = hull_height(hull, budget - t, K - 1)
+            n = n * (K - 1) + gain[min(t, top)] * d
             if n * den > num * d:
                 num, den = n, d
     if budget < top and K * gain[budget] * den < num:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from blottokit import blotto, constructions
+from blottokit import blotto, cli, constructions
 from blottokit.blotto import (
     EquilibriumReport,
     GameCase,
@@ -46,6 +46,7 @@ from blottokit.distributions import (
 )
 from blottokit.errors import (
     BadWeights,
+    CertificationFailed,
     DimensionMismatch,
     OutOfTheoremScope,
     TooLarge,
@@ -399,6 +400,30 @@ def test_odd_full_width_solves_without_search(monkeypatch):
         assert report.value == value
         assert report.certificate.equilibrium
         assert report.certificate.secured_by_A == value
+
+
+def test_a_tampered_matrix_fails_certification_loudly(monkeypatch, capsys):
+    build = blotto.build_prop7_B
+
+    def one_unit_moved(*args):
+        # The first row's last entry gives one unit to its middle entry.
+        matrix = build(*args)
+        first = matrix.rows[0]
+        moved = (first[0], first[1] + 1, first[2] - 1) + first[3:]
+        return PartitionMatrix(matrix.budget, matrix.battlefields, (moved,) + matrix.rows[1:])
+
+    monkeypatch.setattr(blotto, "build_prop7_B", one_unit_moved)
+    message = (
+        "(A=22, B=21, K=3) HIGH_B_NDIV_ODD: claimed value 11/252, "
+        "certificate secured (11/252, 1/21)"
+    )
+    with pytest.raises(CertificationFailed) as excinfo:
+        solve(GameSpec(22, 21, 3))
+    assert str(excinfo.value) == message
+    assert cli.main(["solve", "--a", "22", "--b", "21", "--k", "3"]) == 1
+    assert capsys.readouterr() == ("", f"CertificationFailed: {message}\n")
+    with pytest.raises(CertificationFailed, match=r"^\(A=4, B=3, K=3\) "):
+        sweep_certify(3, 22)
 
 
 def test_sweep_csv_bytes_are_pinned():

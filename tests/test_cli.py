@@ -25,7 +25,7 @@ from blottokit.constructions import (
     matrix_to_json,
 )
 from blottokit.distributions import dist_from_json, dist_to_json
-from blottokit.errors import ConstructionMismatch, InfeasibleRange
+from blottokit.errors import ConstructionMismatch, DimensionMismatch, InfeasibleRange
 
 
 def run(capsys, *argv: str) -> tuple[object, str, str]:
@@ -290,6 +290,20 @@ def test_verify_rejects_matrix_without_battlefields(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_verify_rejects_a_strategies_file_without_b(capsys, tmp_path):
+    report = solve(GameSpec(7, 6, 2))
+    stored = tmp_path / "strategies.json"
+    stored.write_text(json.dumps({"A": matrix_to_json(report.strategy_A)}), encoding="utf-8")
+    code, out, err = run(
+        capsys, "verify", "--a", "7", "--b", "6", "--k", "2", "--strategies", str(stored)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"{DimensionMismatch.__name__}: strategies file must hold partition matrices "
+        "under keys 'A' and 'B'\n"
+    )
+
+
 def test_verify_rejects_non_integer_matrix_entries(capsys, tmp_path):
     stored = tmp_path / "strategies.json"
     stored.write_text(
@@ -331,6 +345,20 @@ def test_implement_rejects_deeply_nested_distribution_json(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --dist: invalid JSON: maximum recursion depth" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--c", "2", "--k", "1"), "need at least two battlefields, got 1"),
+        (("--c", "-1", "--k", "2"), "budget must be non-negative, got -1"),
+    ],
+    ids=["one-battlefield", "negative-budget"],
+)
+def test_implement_rejects_an_out_of_range_width_or_budget(capsys, flags, message):
+    dist = json.dumps({"weights": {"1": "1"}})
+    code, out, err = run(capsys, "implement", "--dist", dist, *flags)
+    assert (code, out, err) == (1, "", f"{InfeasibleRange.__name__}: {message}\n")
 
 
 def test_implement_matches_named_builder(capsys):

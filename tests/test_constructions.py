@@ -113,6 +113,50 @@ def test_build_EO_rejects_bad_m():
         build_EO(RO, 2)
 
 
+NON_INT_SIZES = [
+    (build_EO, (E, 2.0), "m must be an int, got 2.0"),
+    (build_EO, (E, True), "m must be an int, got True"),
+    (build_prop3_B, (2.0, 3, 4), "m must be an int, got 2.0"),
+    (build_prop6_B, (2.0, 3), "m must be an int, got 2.0"),
+    (build_prop6_B, (True, 3), "m must be an int, got True"),
+    (implement_u, (U_ODD, 1.0, 3, 3), "m must be an int, got 1.0"),
+    (build_prop10_B, (2, 3, 5.0), "B must be an int, got 5.0"),
+    (build_prop4_A, (2, 3, 7.0), "A must be an int, got 7.0"),
+    (build_prop5_A, (2, 3.0, 7, P1), "K must be an int, got 3.0"),
+    (build_prop7_B, (2, 3, True), "B must be an int, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    NON_INT_SIZES,
+    ids=[f"{build.__name__}{args}" for build, args, _ in NON_INT_SIZES],
+)
+def test_builders_reject_sizes_that_are_not_ints(build, args, message):
+    # These raised a bare TypeError, returned a result, or reported the
+    # caller's float as a ConstructionMismatch.
+    with pytest.raises(DimensionMismatch) as excinfo:
+        build(*args)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (implement_u, (U_ODD, 0, 0, 2)),
+        (build_prop3_B, (0, 3, 4)),
+        (build_prop4_A, (2, 1, 7)),
+        (build_prop5_A, (0, 3, 7, P1)),
+        (build_prop6_B, (1, 1)),
+        (build_prop7_B, (0, 3, 3)),
+        (build_prop10_B, (0, 3, 5)),
+    ],
+)
+def test_builders_keep_their_range_message(build, args):
+    with pytest.raises(BadM, match=r"^need m >= 1 and K >= 2, got m=\d+, K=\d+$"):
+        build(*args)
+
+
 def test_cardinality_examples():
     m = PartitionMatrix(4, 2, ((0, 4), (2, 2), (4, 0)))
     assert cardinality(m) == {0: 2, 2: 2, 4: 2}

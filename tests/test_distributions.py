@@ -21,11 +21,13 @@ from blottokit.distributions import (
     dist_from_json,
     dist_to_json,
     gain_table,
+    hull_height,
     mean,
     mix,
     normalized,
     payoff_H,
     point_mass,
+    upper_hull,
     vbar,
     vec_add,
     vec_scale,
@@ -71,6 +73,45 @@ def test_base_vector_rejects_bad_parameters():
         base_vector(V, 2, j=3)
     with pytest.raises(BadIndex):
         base_vector("U_SIDEWAYS", 2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: base_vector(U_ODD, 2.0), BadM),
+        (lambda: base_vector(U_ODD, True), BadM),
+        (lambda: base_vector(U_EVEN, Fraction(2)), BadM),
+        (lambda: base_vector(W, 3.0, j=1), BadM),
+        (lambda: base_vector(V, 2, j=1.0), BadIndex),
+        (lambda: base_vector(W, 3, j=True), BadIndex),
+        (lambda: vbar(2.0), BadM),
+        (lambda: vbar(True), BadM),
+    ],
+    ids=["U_ODD-float", "U_ODD-bool", "U_EVEN-Fraction", "W-float-m", "V-float-j",
+         "W-bool-j", "vbar-float", "vbar-bool"],
+)
+def test_base_families_reject_parameters_that_are_not_ints(call, error):
+    # A float raised a bare TypeError or built float points; True built the
+    # m = 1 member.
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kind, m, j, error",
+    [(U_EVEN, 0, None, BadM), (W, 1, None, BadM), (V, 0, None, BadM), (U_ODD, 2, 1, BadIndex)],
+)
+def test_base_vector_rejects_each_family_out_of_range(kind, m, j, error):
+    with pytest.raises(error):
+        base_vector(kind, m, j)
+
+
+def test_w_family_has_total_2m_and_mean_m():
+    for m in range(2, 13):
+        for j in range(1, m):
+            counts = base_vector(W, m, j)
+            assert sum(counts.values()) == 2 * m
+            assert mean(normalized(counts)) == m
 
 
 def test_vbar_examples():
@@ -191,6 +232,23 @@ def test_gain_table_matches_the_sorted_sweep(counts, data):
     # to past it, where the table is flat.
     top = data.draw(st.integers(min_value=0, max_value=max(counts) + 4))
     assert gain_table(counts, top) == sorted_sweep_gain_table(counts, top)
+
+
+@given(small_counts, st.integers(min_value=0, max_value=4), st.integers(1, 6), st.data())
+def test_hull_height_is_the_best_chord_and_flat_past_the_table(counts, extra, den, data):
+    top = max(counts) + 1 + extra
+    gain = gain_table(counts, top)
+    num = data.draw(st.integers(min_value=0, max_value=(top + 2) * den))
+    n, d = hull_height(upper_hull(gain, range(top + 1)), num, den)
+    x = Fraction(num, den)
+    chords = [
+        gain[i] + (gain[j] - gain[i]) * (x - i) / (j - i)
+        for i in range(top + 1)
+        for j in range(i + 1, top + 1)
+        if i <= x <= j
+    ]
+    assert type(n) is int and type(d) is int and d > 0
+    assert Fraction(n, d) == (max(chords) if x < top else gain[top])
 
 
 def test_gain_table_rejects_empty_or_negative_counts():
