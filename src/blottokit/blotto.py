@@ -41,7 +41,7 @@ from .errors import (
     TooLarge,
     UnsolvedCase,
 )
-from .exactmath import Rat, format_rat
+from .exactmath import Rat, all_int, all_rat, format_rat, is_int
 from .verify import Certificate, Opponent, SweepRow, certify, tabulate
 
 # `solve` neither searches nor builds target distributions.  These four names
@@ -93,7 +93,7 @@ class GameSpec:
     def __post_init__(self) -> None:
         for name in ("A", "B", "K"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 raise OutOfTheoremScope(f"{name} must be an int, got {value!r}")
         if not self.A > self.B >= 1:
             raise OutOfTheoremScope(
@@ -262,10 +262,13 @@ def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
     (K, m) block, and its certifier record (gain table and hull) is kept
     beside it for every instance that uses it: `sweep_certify(6, 30)`
     tabulates 912 times.  Builders are pure and matrices frozen, so this is
-    the matrix and the table `solve` would make.
+    the matrix and the table `solve` would make.  A bound that is not an
+    `int` (a `bool` or a `float`) raises InfeasibleRange.
     """
     if kmax < 2 or amax < 3:
         raise InfeasibleRange(f"sweep needs kmax >= 2 and amax >= 3, got ({kmax}, {amax})")
+    if not (is_int(kmax) and is_int(amax)):
+        raise InfeasibleRange(f"sweep needs int kmax and amax, got ({kmax!r}, {amax!r})")
     rows = []
     for K in range(2, kmax + 1):
         block = None
@@ -328,7 +331,7 @@ Lottery = tuple[tuple[tuple[int, ...], Fraction], ...]
 def _check_allocation_entries(entries: Iterable, shown: object) -> None:
     """DimensionMismatch unless `entries` are all non-negative ints."""
     entries = list(entries)
-    if set(map(type, entries)) != {int} or min(entries) < 0:
+    if not entries or not all_int(entries) or min(entries) < 0:
         raise DimensionMismatch(f"allocation entries must be non-negative ints, got {shown!r}")
 
 
@@ -350,7 +353,7 @@ def _as_lottery(side) -> Lottery:
     allocations = [tuple(alloc) for alloc, _ in entries]
     _check_allocation_entries(itertools.chain.from_iterable(allocations), allocations)
     probabilities = [prob for _, prob in entries]
-    if not set(map(type, probabilities)) <= {int, Fraction}:
+    if not all_rat(probabilities):
         raise BadWeights(f"probabilities must be ints or Fractions, got {probabilities!r}")
     out = tuple(zip(allocations, map(Fraction, probabilities)))
     total = sum(prob for _, prob in out)
@@ -388,7 +391,8 @@ def payoff_blotto_exhaustive(x, y) -> Rat:
 
 def symmetrize(allocation: Sequence[int], battlefields: int) -> list[tuple[tuple[int, ...], Fraction]]:
     """Uniform lottery over the distinct orderings of one allocation of
-    non-negative ints."""
+    non-negative ints; a `battlefields` that is not an `int` (a `bool` or a
+    `float`) raises DimensionMismatch."""
     if len(allocation) != battlefields:
         raise DimensionMismatch(
             f"allocation has {len(allocation)} entries for {battlefields} battlefields"
@@ -396,6 +400,8 @@ def symmetrize(allocation: Sequence[int], battlefields: int) -> list[tuple[tuple
     if battlefields > 6:
         raise TooLarge(f"symmetrization is bounded to K <= 6, got {battlefields}")
     _check_allocation_entries(allocation, allocation)
+    if not is_int(battlefields):
+        raise DimensionMismatch(f"battlefields must be an int, got {battlefields!r}")
     orderings = sorted(set(itertools.permutations(allocation)), reverse=True)
     share = Fraction(1, len(orderings))
     return [(ordering, share) for ordering in orderings]

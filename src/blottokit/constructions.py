@@ -46,6 +46,7 @@ from .errors import (
     MeanMismatch,
     SearchExceeded,
 )
+from .exactmath import all_int, is_int
 
 # Unused here; `mix` stays only because the benchmark harness looks it up.
 from .distributions import mix
@@ -64,7 +65,7 @@ def _require_ints(**values: object) -> None:
     """Raise DimensionMismatch naming the first value that is not an `int`
     (a `bool` is not)."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise DimensionMismatch(f"{name} must be an int, got {value!r}")
 
 
@@ -102,7 +103,7 @@ class PartitionMatrix:
         distinct = tuple(compress(rows, map(is_not, rows, chain((None,), rows))))
         if (
             set(map(len, distinct)) != {self.battlefields}
-            or set(map(type, chain.from_iterable(distinct))) != {int}
+            or not all_int(chain.from_iterable(distinct))
             or min(chain.from_iterable(distinct)) < 0
             or set(map(sum, distinct)) != {self.budget}
         ):
@@ -111,7 +112,7 @@ class PartitionMatrix:
                     raise DimensionMismatch(
                         f"row {row} has {len(row)} entries, expected {self.battlefields}"
                     )
-                if set(map(type, row)) != {int}:
+                if not all_int(row):
                     raise DimensionMismatch(f"row {row} has a non-integer entry")
                 if min(row) < 0:
                     raise DimensionMismatch(f"row {row} has a negative entry")
@@ -153,7 +154,7 @@ def matrix_to_json(matrix: PartitionMatrix) -> dict:
 
 
 def _json_int(value: object, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise MalformedJSON(
             f"partition matrix JSON needs integer {field}, got {value!r}"
         )
@@ -1466,10 +1467,12 @@ def generic_implement(
     Tries the smallest row count L that makes every target count an integer,
     then its multiples, as long as L times `battlefields` stays within
     `max_rows` entry slots.  Returns None when the exhausted sizes admit no
-    matrix; raises SearchExceeded when the search is cut off instead.
+    matrix; raises SearchExceeded when the search is cut off instead, and
+    DimensionMismatch for a budget, width or row cap that is not an `int`.
     """
     if battlefields < 1:
         raise DimensionMismatch(f"need at least one battlefield, got {battlefields}")
+    _require_ints(budget=budget, battlefields=battlefields, max_rows=max_rows)
     if mean(target) * battlefields != budget:
         raise MeanMismatch(
             f"target mean times {battlefields} battlefields is "

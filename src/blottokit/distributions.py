@@ -18,7 +18,7 @@ from itertools import accumulate, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadIndex, BadM, BadWeights, MalformedJSON
-from .exactmath import Rat, format_rat, parse_rat
+from .exactmath import Rat, all_int, all_rat, format_rat, is_int, parse_rat
 
 IntVec = dict[int, int]
 
@@ -42,7 +42,7 @@ class Dist:
         Points must be `int`s and weights `int`s or `Fraction`s; a `bool` or
         a `float` is neither, and raises BadWeights.
         """
-        if not set(map(type, weights)) <= {int}:
+        if not all_int(weights):
             raise BadWeights(f"support points must be ints, got {list(weights)!r}")
         _check_exact(weights.values())
         cleaned: dict[int, Fraction] = {}
@@ -71,7 +71,7 @@ class Dist:
 
 def _check_exact(weights) -> None:
     """Raise BadWeights unless every weight is an `int` or a `Fraction`."""
-    if not set(map(type, weights)) <= {int, Fraction}:
+    if not all_rat(weights):
         raise BadWeights(f"weights must be ints or Fractions, got {list(weights)!r}")
 
 
@@ -80,13 +80,9 @@ def point_mass(point: int) -> Dist:
     return Dist.from_weights({point: 1})
 
 
-def _whole(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_m(name: str, m: int, least: int) -> None:
     """Raise BadM unless m is an `int` (a `bool` is not) of at least `least`."""
-    if not _whole(m):
+    if not is_int(m):
         raise BadM(f"{name} needs an int m, got {m!r}")
     if m < least:
         raise BadM(f"{name} needs m >= {least}, got {m}")
@@ -111,7 +107,7 @@ def base_vector(kind: str, m: int, j: int | None = None) -> IntVec:
         return {2 * i: 1 for i in range(1, m)}
     if kind == W:
         _check_m(W, m, 2)
-        if not _whole(j) or not 1 <= j <= m - 1:
+        if not is_int(j) or not 1 <= j <= m - 1:
             raise BadIndex(f"W needs 1 <= j <= m-1, got j={j}, m={m}")
         counts: IntVec = {0: 1, 2 * j: 1}
         for even in range(2, 2 * j - 1, 2):
@@ -121,7 +117,7 @@ def base_vector(kind: str, m: int, j: int | None = None) -> IntVec:
         return counts
     if kind == V:
         _check_m(V, m, 1)
-        if not _whole(j) or not 1 <= j <= m:
+        if not is_int(j) or not 1 <= j <= m:
             raise BadIndex(f"V needs 1 <= j <= m, got j={j}, m={m}")
         counts = {2 * j - 1: 1}
         for odd in range(1, 2 * j - 2, 2):
@@ -198,14 +194,16 @@ def gain_table(counts: Mapping[int, int], top: int) -> list[int]:
     kernel of `payoff_H` with a point mass on t, scaled to integers and
     tabulated from the dense counts #{Y = t} and their running sums.  g is
     non-decreasing and constant from max(support) + 1 on.  Counts and their
-    points must be non-negative, with a positive total (BadWeights
-    otherwise).
+    points must be non-negative, with a positive total, and they and `top`
+    must be `int`s, not a `bool` or a `float` (BadWeights otherwise).
     """
     total = sum(counts.values())
     if total <= 0 or min(counts.values()) < 0 or min(counts) < 0:
         raise BadWeights(
             "a gain table needs non-negative counts at non-negative points with a positive total"
         )
+    if not (all_int(counts) and all_int(counts.values()) and is_int(top)):
+        raise BadWeights(f"a gain table needs int points, counts and top, got {counts!r}, {top!r}")
     dense = list(map(counts.get, range(top + 1), repeat(0)))
     # accumulate yields #{Y < t} for t = 0, 1, ...: the counts below t.
     return [
@@ -257,7 +255,7 @@ def normalized(counts: Mapping[int, int]) -> Dist:
     Counts must be `int`s; a `bool`, a `float` or a `Fraction` raises
     BadWeights.
     """
-    if not set(map(type, counts.values())) <= {int}:
+    if not all_int(counts.values()):
         raise BadWeights(f"counts must be ints, got {list(counts.values())!r}")
     total = sum(counts.values())
     if total <= 0:

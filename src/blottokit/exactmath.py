@@ -2,16 +2,37 @@
 
 Rationals are `fractions.Fraction` values throughout the package; this module
 pins the constructor and the "p/q" text form used by every external
-interface (no floats anywhere).
+interface (no floats anywhere), and the exact-input rule of every entry point.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import ZeroDenominator
 
 Rat = Fraction
+
+
+def is_int(value: object) -> bool:
+    """Whether `value` is an `int` proper: a `bool`, a `float` or an `IntEnum` is not."""
+    return type(value) is int
+
+
+def is_rat(value: object) -> bool:
+    """Whether `value` is an exact integer or a `Fraction` (not a subclass)."""
+    return type(value) in (int, Fraction)
+
+
+def all_int(values: Iterable[object]) -> bool:
+    """`is_int` of every one of `values` (true of none), in one C-level pass."""
+    return set(map(type, values)) <= {int}
+
+
+def all_rat(values: Iterable[object]) -> bool:
+    """`is_rat` of every one of `values` (true of none), in one C-level pass."""
+    return set(map(type, values)) <= {int, Fraction}
 
 
 def rat(numerator: int, denominator: int = 1) -> Rat:

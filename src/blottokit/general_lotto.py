@@ -29,13 +29,13 @@ from .distributions import (
     vbar,
 )
 from .errors import OutOfTheoremScope
-from .exactmath import Rat
+from .exactmath import Rat, is_rat
 
 
 def _exact(name: str, value: Rat) -> Fraction:
     """`value` as a Fraction; OutOfTheoremScope unless it is an int or a
     Fraction (a `bool` or a `float` is neither)."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+    if not is_rat(value):
         raise OutOfTheoremScope(f"{name} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
 

@@ -26,7 +26,7 @@ from operator import add
 from .constructions import PartitionMatrix, cardinality
 from .distributions import Hull, gain_table, hull_height, upper_hull
 from .errors import DimensionMismatch, InfeasibleRange
-from .exactmath import Rat, format_rat
+from .exactmath import Rat, format_rat, is_int
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,6 @@ def tabulate(matrix: PartitionMatrix) -> Opponent:
     return Opponent(matrix, gain, upper_hull(gain, range(top + 1)))
 
 
-def _whole(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _tabulated(strategy: PartitionMatrix | Opponent) -> Opponent:
     return strategy if isinstance(strategy, Opponent) else tabulate(strategy)
 
@@ -99,11 +95,11 @@ def best_response_value(
     entries up to cap.
     """
     opponent = _tabulated(opponent)
-    if not _whole(K) or opponent.matrix.battlefields != K:
+    if not is_int(K) or opponent.matrix.battlefields != K:
         raise DimensionMismatch(
             f"opponent plays on {opponent.matrix.battlefields} battlefields, reply on {K!r}"
         )
-    if not _whole(budget) or budget < 0:
+    if not is_int(budget) or budget < 0:
         raise InfeasibleRange(f"reply budget must be a non-negative int, got {budget!r}")
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
@@ -181,20 +177,15 @@ def certify(
     <= secured_by_B <= bound makes both levels equal, and only otherwise
     does a second run compute secured_by_B.
     """
-    if not (_whole(A) and _whole(B) and _whole(K)):
+    if not (is_int(A) and is_int(B) and is_int(K)):
         raise DimensionMismatch(f"A, B and K must be ints, got ({A!r}, {B!r}, {K!r})")
     side_A, side_B = _tabulated(strategy_A), _tabulated(strategy_B)
-    matrix_A, matrix_B = side_A.matrix, side_B.matrix
-    if matrix_A.budget != A or matrix_A.battlefields != K:
-        raise DimensionMismatch(
-            f"A-strategy is a {matrix_A.budget}-budget matrix on "
-            f"{matrix_A.battlefields} battlefields, expected ({A}, {K})"
-        )
-    if matrix_B.budget != B or matrix_B.battlefields != K:
-        raise DimensionMismatch(
-            f"B-strategy is a {matrix_B.budget}-budget matrix on "
-            f"{matrix_B.battlefields} battlefields, expected ({B}, {K})"
-        )
+    for name, matrix, budget in (("A", side_A.matrix, A), ("B", side_B.matrix, B)):
+        if matrix.budget != budget or matrix.battlefields != K:
+            raise DimensionMismatch(
+                f"{name}-strategy is a {matrix.budget}-budget matrix on "
+                f"{matrix.battlefields} battlefields, expected ({budget}, {K})"
+            )
     if K < 2:
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
     ceiling_num, ceiling_den = _reply_bound(side_B, A, K)

@@ -609,6 +609,12 @@ def test_symmetrize_examples():
             symmetrize(allocation, 2)
 
 
+@pytest.mark.parametrize("allocation, battlefields", [((1, 2), 2.0), ((1,), True)])
+def test_symmetrize_rejects_a_width_that_is_not_an_int(allocation, battlefields):
+    with pytest.raises(DimensionMismatch, match="battlefields must be an int"):
+        symmetrize(allocation, battlefields)
+
+
 def test_uniform_matching_reduction_randomized():
     rng = random.Random(17)
     for _ in range(30):

@@ -692,6 +692,22 @@ def test_generic_implement_checks_mean():
         generic_implement(base_dist(U_ODD, 2), 3, 2)
 
 
+@pytest.mark.parametrize(
+    "target, budget, battlefields, max_rows, name",
+    [
+        (point_mass(1), 2, 2.0, 5040, "battlefields"),
+        (point_mass(1), 2, 2, 10.0, "max_rows"),
+        (base_dist(U_ODD, 1), 2, True, 5040, "battlefields"),
+        (base_dist(U_ODD, 2), 6.0, 3, 5040, "budget"),
+    ],
+)
+def test_generic_implement_rejects_a_size_that_is_not_an_int(
+    target, budget, battlefields, max_rows, name
+):
+    with pytest.raises(DimensionMismatch, match=f"{name} must be an int"):
+        generic_implement(target, budget, battlefields, max_rows=max_rows)
+
+
 def test_generic_implement_respects_parity_law():
     # Odd grid with even budget over even battlefields is feasible; the
     # mismatched-parity variant admits no matrix and returns None.

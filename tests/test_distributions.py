@@ -260,6 +260,14 @@ def test_gain_table_rejects_empty_or_negative_counts():
         gain_table({-1: 1, 2: 1}, 3)
 
 
+@pytest.mark.parametrize(
+    "counts, top", [({0.5: 1}, 2), ({0: True}, 2), ({0: 1}, 2.0), ({0: 1.0, 1: 1}, 2)]
+)
+def test_gain_table_rejects_a_point_count_or_top_that_is_not_an_int(counts, top):
+    with pytest.raises(BadWeights, match="needs int points, counts and top"):
+        gain_table(counts, top)
+
+
 @given(small_dists, small_dists, st.integers(min_value=0, max_value=6))
 def test_mean_of_mix_is_mix_of_means(x, y, sixths):
     w = Fraction(sixths, 6)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blottokit.errors import ZeroDenominator
-from blottokit.exactmath import format_rat, parse_rat, rat
+from blottokit.exactmath import all_int, all_rat, format_rat, is_int, is_rat, parse_rat, rat
+
+
+class Count(IntEnum):
+    TWO = 2
 
 
 def test_rat_normalizes():
@@ -65,3 +70,29 @@ def test_parse_rat_rejects_bad_input():
 def test_format_parse_round_trip(n, d):
     value = Fraction(n, d)
     assert parse_rat(format_rat(value)) == value
+
+
+@pytest.mark.parametrize(
+    "value, integer, rational",
+    [
+        (2, True, True),
+        (-3, True, True),
+        (Fraction(1, 2), False, True),
+        (Fraction(2), False, True),
+        (True, False, False),
+        (2.0, False, False),
+        (Count.TWO, False, False),
+        ("2", False, False),
+        (None, False, False),
+    ],
+)
+def test_exact_input_rule(value, integer, rational):
+    assert is_int(value) is integer
+    assert is_rat(value) is rational
+    assert all_int([1, value, 3]) is integer
+    assert all_rat((Fraction(1, 3), value)) is rational
+
+
+def test_collection_forms_hold_of_no_values_and_read_keys_of_a_mapping():
+    assert all_int([]) and all_rat(iter(()))
+    assert all_int({0: 1.5}) and not all_int({0: 1.5}.values())

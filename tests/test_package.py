@@ -1,18 +1,37 @@
 """Package-wide invariants: error hierarchy, import graph, no module-global mutable state,
-no unused import or unreferenced private name."""
+no unused import or unreferenced private name, one exact-input rule."""
 
 from __future__ import annotations
 
 import ast
 import inspect
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
 
 import blottokit
 from blottokit import errors
-from blottokit.errors import BlottoError
+from blottokit.blotto import GameSpec, payoff_blotto_exhaustive, sweep_certify, symmetrize
+from blottokit.constructions import (
+    PartitionMatrix,
+    build_prop3_B,
+    generic_implement,
+    matrix_from_json,
+)
+from blottokit.distributions import U_ODD, base_vector, gain_table, normalized, point_mass
+from blottokit.errors import (
+    BadM,
+    BadWeights,
+    BlottoError,
+    DimensionMismatch,
+    InfeasibleRange,
+    MalformedJSON,
+    OutOfTheoremScope,
+)
+from blottokit.general_lotto import LottoSpec, envelope_best_response
+from blottokit.verify import best_response_value, certify
 
 PACKAGE = Path(blottokit.__file__).parent
 
@@ -385,3 +404,109 @@ def test_no_unused_import_or_unreferenced_private_name():
 )
 def test_dead_name_scan_flags_each_kind(sources, dead):
     assert _dead_names(sources) == dead
+
+
+def _exact_rule_spellings(source: str) -> list[str]:
+    """'line: spelling' for every `isinstance(..., bool)` (a tuple of types
+    included), comparison of `type(...)` with `int` (or a tuple holding it), and
+    `set(map(type, ...))`: the exact-input rule written out in place of a call
+    into `exactmath`."""
+
+    def called(node: ast.AST, name: str) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
+        )
+
+    def named(node: ast.AST, name: str) -> bool:
+        return isinstance(node, ast.Name) and node.id == name
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if called(node, "isinstance") and len(node.args) == 2:
+            kinds = node.args[1]
+            if any(named(kind, "bool") for kind in getattr(kinds, "elts", [kinds])):
+                found.append(f"{node.lineno}: isinstance(..., bool)")
+        elif isinstance(node, ast.Compare) and called(node.left, "type"):
+            kinds = [kind for other in node.comparators for kind in getattr(other, "elts", [other])]
+            if any(named(kind, "int") for kind in kinds):
+                found.append(f"{node.lineno}: type(...) is int")
+        elif called(node, "set") and node.args and called(node.args[0], "map"):
+            if node.args[0].args and named(node.args[0].args[0], "type"):
+                found.append(f"{node.lineno}: set(map(type, ...))")
+    return found
+
+
+def test_only_exactmath_spells_the_exact_input_rule():
+    found = {
+        path.name: _exact_rule_spellings(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert found.pop("exactmath.py") != []
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("isinstance(x, bool)\n", ["1: isinstance(..., bool)"]),
+        ("isinstance(x, (int, bool))\n", ["1: isinstance(..., bool)"]),
+        ("if type(x) is int:\n    pass\n", ["1: type(...) is int"]),
+        ("type(x) is not int\n", ["1: type(...) is int"]),
+        ("type(x) == int\n", ["1: type(...) is int"]),
+        ("type(x) in (int, Fraction)\n", ["1: type(...) is int"]),
+        ("set(map(type, xs)) <= {int}\n", ["1: set(map(type, ...))"]),
+        ("x = 1\ny = set(map(type, x.values()))\n", ["2: set(map(type, ...))"]),
+        ("isinstance(x, int)\ntype(x) is str\nset(map(len, xs))\nset(xs)\n", []),
+        ("is_int(x)\nall_int(xs)\nall_rat(map(f, xs))\n", []),
+    ],
+)
+def test_exact_rule_scan_flags_each_spelling(source, uses):
+    assert _exact_rule_spellings(source) == uses
+
+
+class _Count(IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+_ONE_ROW = PartitionMatrix(3, 2, ((1, 2),))
+
+# (entry point, arguments, error): an `IntEnum` member in one scalar and one
+# collection argument per module that has both kinds.
+_INT_ENUM_INPUTS = [
+    (GameSpec, (_Count.THREE, 1, 2), OutOfTheoremScope),
+    (sweep_certify, (_Count.TWO, 6), InfeasibleRange),
+    (symmetrize, ((_Count.ONE, 2), 2), DimensionMismatch),
+    (payoff_blotto_exhaustive, ([((1, 2), _Count.ONE)], (2, 1)), BadWeights),
+    (PartitionMatrix, (_Count.THREE, 2, ((1, 2),)), DimensionMismatch),
+    (PartitionMatrix, (3, 2, ((_Count.ONE, 2),)), DimensionMismatch),
+    (build_prop3_B, (_Count.TWO, 2, 4), DimensionMismatch),
+    (generic_implement, (point_mass(1), 2, _Count.TWO), DimensionMismatch),
+    (
+        matrix_from_json,
+        ({"budget": _Count.THREE, "battlefields": 2, "rows": [[1, 2]]},),
+        MalformedJSON,
+    ),
+    (base_vector, (U_ODD, _Count.TWO), BadM),
+    (point_mass, (_Count.TWO,), BadWeights),
+    (normalized, ({0: _Count.ONE},), BadWeights),
+    (gain_table, ({0: 1}, _Count.TWO), BadWeights),
+    (LottoSpec, (_Count.THREE, 1), OutOfTheoremScope),
+    (envelope_best_response, (point_mass(1), _Count.TWO), OutOfTheoremScope),
+    (best_response_value, (_ONE_ROW, _Count.TWO, 2), InfeasibleRange),
+    (certify, (_ONE_ROW, PartitionMatrix(1, 2, ((1, 0),)), 3, 1, _Count.TWO), DimensionMismatch),
+]
+
+
+def test_an_int_subclass_is_not_an_exact_input_at_any_entry_point():
+    missed = []
+    for entry, args, error in _INT_ENUM_INPUTS:
+        try:
+            entry(*args)
+        except error:
+            continue
+        missed.append(f"{entry.__name__}{args!r}")
+    assert missed == []

@@ -342,6 +342,12 @@ def test_sweep_rejects_bad_bounds():
         sweep_certify(2, 2)
 
 
+@pytest.mark.parametrize("kmax, amax", [(3.0, 6), (3, 6.0)])
+def test_sweep_rejects_bounds_that_are_not_ints(kmax, amax):
+    with pytest.raises(InfeasibleRange, match="needs int kmax and amax"):
+        sweep_certify(kmax, amax)
+
+
 def test_csv_rendering():
     text = rows_to_csv(sweep_certify(2, 4))
     lines = text.splitlines()
