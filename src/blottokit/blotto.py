@@ -265,10 +265,10 @@ def sweep_certify(kmax: int, amax: int) -> list[SweepRow]:
     the matrix and the table `solve` would make.  A bound that is not an
     `int` (a `bool` or a `float`) raises InfeasibleRange.
     """
-    if kmax < 2 or amax < 3:
-        raise InfeasibleRange(f"sweep needs kmax >= 2 and amax >= 3, got ({kmax}, {amax})")
     if not (is_int(kmax) and is_int(amax)):
         raise InfeasibleRange(f"sweep needs int kmax and amax, got ({kmax!r}, {amax!r})")
+    if kmax < 2 or amax < 3:
+        raise InfeasibleRange(f"sweep needs kmax >= 2 and amax >= 3, got ({kmax}, {amax})")
     rows = []
     for K in range(2, kmax + 1):
         block = None
@@ -393,6 +393,8 @@ def symmetrize(allocation: Sequence[int], battlefields: int) -> list[tuple[tuple
     """Uniform lottery over the distinct orderings of one allocation of
     non-negative ints; a `battlefields` that is not an `int` (a `bool` or a
     `float`) raises DimensionMismatch."""
+    if not is_int(battlefields):
+        raise DimensionMismatch(f"battlefields must be an int, got {battlefields!r}")
     if len(allocation) != battlefields:
         raise DimensionMismatch(
             f"allocation has {len(allocation)} entries for {battlefields} battlefields"
@@ -400,8 +402,6 @@ def symmetrize(allocation: Sequence[int], battlefields: int) -> list[tuple[tuple
     if battlefields > 6:
         raise TooLarge(f"symmetrization is bounded to K <= 6, got {battlefields}")
     _check_allocation_entries(allocation, allocation)
-    if not is_int(battlefields):
-        raise DimensionMismatch(f"battlefields must be an int, got {battlefields!r}")
     orderings = sorted(set(itertools.permutations(allocation)), reverse=True)
     share = Fraction(1, len(orderings))
     return [(ordering, share) for ordering in orderings]

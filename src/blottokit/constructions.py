@@ -1470,9 +1470,9 @@ def generic_implement(
     matrix; raises SearchExceeded when the search is cut off instead, and
     DimensionMismatch for a budget, width or row cap that is not an `int`.
     """
+    _require_ints(budget=budget, battlefields=battlefields, max_rows=max_rows)
     if battlefields < 1:
         raise DimensionMismatch(f"need at least one battlefield, got {battlefields}")
-    _require_ints(budget=budget, battlefields=battlefields, max_rows=max_rows)
     if mean(target) * battlefields != budget:
         raise MeanMismatch(
             f"target mean times {battlefields} battlefields is "

@@ -197,13 +197,13 @@ def gain_table(counts: Mapping[int, int], top: int) -> list[int]:
     points must be non-negative, with a positive total, and they and `top`
     must be `int`s, not a `bool` or a `float` (BadWeights otherwise).
     """
+    if not (all_int(counts) and all_int(counts.values()) and is_int(top)):
+        raise BadWeights(f"a gain table needs int points, counts and top, got {counts!r}, {top!r}")
     total = sum(counts.values())
     if total <= 0 or min(counts.values()) < 0 or min(counts) < 0:
         raise BadWeights(
             "a gain table needs non-negative counts at non-negative points with a positive total"
         )
-    if not (all_int(counts) and all_int(counts.values()) and is_int(top)):
-        raise BadWeights(f"a gain table needs int points, counts and top, got {counts!r}, {top!r}")
     dense = list(map(counts.get, range(top + 1), repeat(0)))
     # accumulate yields #{Y < t} for t = 0, 1, ...: the counts below t.
     return [
@@ -284,10 +284,20 @@ def dist_to_json(dist: Dist) -> dict:
     return {"weights": {str(p): format_rat(w) for p, w in dist.items}}
 
 
+def _json_point(key: str) -> int:
+    """The point a JSON key names, read only in the form `dist_to_json` writes,
+    so that no two keys name one point."""
+    point = int(key)
+    if key != str(point):
+        raise ValueError(f"point key {key!r} is not written as {point}")
+    return point
+
+
 def dist_from_json(obj: Mapping) -> Dist:
-    """Inverse of dist_to_json."""
+    """Inverse of dist_to_json: a point key other than the int's own decimal
+    form (such as "01", " 2 " or "+1") raises MalformedJSON."""
     try:
-        weights = {int(p): parse_rat(w) for p, w in obj["weights"].items()}
+        weights = {_json_point(p): parse_rat(w) for p, w in obj["weights"].items()}
     except KeyError as exc:
         raise MalformedJSON(f"distribution JSON lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

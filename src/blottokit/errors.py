@@ -83,3 +83,7 @@ class TooLarge(BlottoError, ValueError):
 
 class MalformedJSON(BlottoError, ValueError):
     """A JSON document lacks a required key or holds a value of the wrong form."""
+
+
+class InexactNumber(BlottoError, TypeError):
+    """An exact-arithmetic helper was given a number that is not an int or a Fraction."""

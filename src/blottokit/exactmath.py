@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .errors import ZeroDenominator
+from .errors import InexactNumber, ZeroDenominator
 
 Rat = Fraction
 
@@ -35,17 +35,25 @@ def all_rat(values: Iterable[object]) -> bool:
     return set(map(type, values)) <= {int, Fraction}
 
 
-def rat(numerator: int, denominator: int = 1) -> Rat:
-    """Return the normalized rational numerator/denominator."""
+def rat(numerator: Rat | int, denominator: Rat | int = 1) -> Rat:
+    """Return the normalized rational numerator/denominator.
+
+    Both must pass `is_rat`; anything else raises InexactNumber.
+    """
+    if not (is_rat(numerator) and is_rat(denominator)):
+        raise InexactNumber(f"rat takes ints or Fractions, got ({numerator!r}, {denominator!r})")
     if denominator == 0:
         raise ZeroDenominator(f"rat({numerator}, 0)")
     return Fraction(numerator, denominator)
 
 
 def format_rat(value: Rat | int) -> str:
-    """Render a rational as "p/q" (denominator kept even when it is 1)."""
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
+    """Render a rational as "p/q" (denominator kept even when it is 1).
+
+    The value must pass `is_rat`; anything else raises InexactNumber.
+    """
+    if not is_rat(value):
+        raise InexactNumber(f"format_rat takes an int or a Fraction, got {value!r}")
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -1,18 +1,16 @@
 """Independent equilibrium certification by exact best-reply bounds.
 
 The certifier never trusts the closed forms.  For each claimed strategy it
-bounds the best payoff a pure reply can extract, by the smaller of two
-bounds against the strategy's entry counts: the upper concave hull of the
-reply's per-battlefield gain (the General Lotto relaxation of uniform
-battlefield matching, Hart 2008), and the gain of the reply's whole budget
-on every battlefield, since no entry of a reply exceeds its budget.  When
-the two players' bounds meet, weak duality pins both security levels to
-that value and certifies an equilibrium.  Otherwise an exact dynamic
-program over battlefields and remaining budget computes A's level first,
-which settles the pair when it reaches B's bound, and then B's; the pair is
-an equilibrium exactly when the levels coincide.  The gain table and its
-hull depend on the matrix alone, so `tabulate` recounts a matrix once into
-an `Opponent` record that serves every reply budget.
+bounds the best payoff a pure reply can extract by the upper concave hull
+of the reply's per-battlefield gain against the strategy's entry counts
+(the General Lotto relaxation of uniform battlefield matching, Hart 2008),
+taken over the entries a reply can hold: none exceeds its budget.  When the
+two players' bounds meet, weak duality pins both security levels to that
+value and certifies an equilibrium.  Otherwise an exact dynamic program
+over battlefields and remaining budget computes each player's level; the
+pair is an equilibrium exactly when the levels coincide.  The gain table
+and its hull depend on the matrix alone, so `tabulate` recounts a matrix
+once into an `Opponent` record that serves every reply budget.
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ class Certificate:
     `secured_by_A` is the floor A's strategy guarantees against any reply;
     `secured_by_B` is the ceiling B's strategy imposes; weak duality gives
     secured_by_A <= secured_by_B, with equality certifying an equilibrium.
-    `proof` is "bound" when the two reply bounds met and "dp" when at least
-    one level comes from the best-response dynamic program.
+    `proof` is "bound" when the two reply bounds met and "dp" when both
+    levels come from the best-response dynamic program.
     """
 
     secured_by_A: Rat
@@ -52,8 +50,10 @@ class Opponent:
 
     `gain` is the gain table of the matrix's own entry counts for t in
     [0, top], top = s + 1 for its largest entry s, and `hull` is the upper
-    concave hull of that table.  Both depend on the matrix alone, so one
-    record serves every reply budget and every instance that plays it.
+    concave hull of that table, the reply bound of every budget >= top
+    (a smaller budget bounds by the hull of the table up to that budget).
+    Both depend on the matrix alone, so one record serves every reply
+    budget and every instance that plays it.
     """
 
     matrix: PartitionMatrix
@@ -133,18 +133,19 @@ def _reply_bound(opponent: Opponent, budget: int, K: int) -> tuple[int, int]:
     """An upper bound on `best_response_value(opponent, budget, K)`, as an
     integer pair (num, den) with den > 0.
 
-    The reply's K entries score sum(gain[t]) on the gain table the DP uses,
-    which is at most the sum of the table's upper concave hull H, non-
-    decreasing and flat from top = s + 1 on for the opponent's largest entry
-    s; by Jensen, K * H(budget / K).  A reply to an odd budget has an odd
-    entry t, so the bound is then the best gain[t] + (K - 1) * H((budget -
-    t) / (K - 1)) over odd t; an odd t past top + 1 gains nothing more and
-    leaves the others less.  No entry exceeds the budget and the gain is
-    non-decreasing, so K * gain[budget] bounds the sum too when budget <
-    top; the smaller of the two is returned.
+    No entry of a reply exceeds its budget, and the gain table is flat from
+    top = s + 1 on for the opponent's largest entry s, so the reply's K
+    entries score sum(gain[t]) over t <= min(budget, top): at most the sum
+    of the upper concave hull H of those points of the table (the
+    `Opponent`'s own hull when budget >= top), and by Jensen K * H(budget /
+    K).  H is non-decreasing and at most gain[budget].  A reply to an odd
+    budget has an odd entry t, so the bound is then the best gain[t] + (K -
+    1) * H((budget - t) / (K - 1)) over odd t; an odd t past top + 1 gains
+    nothing more and leaves the others less.
     """
-    gain, hull = opponent.gain, opponent.hull
+    gain = opponent.gain
     top = len(gain) - 1
+    hull = opponent.hull if budget >= top else upper_hull(gain, range(budget + 1))
     if budget % 2 == 0:
         num, den = hull_height(hull, budget, K)
         num *= K
@@ -155,8 +156,6 @@ def _reply_bound(opponent: Opponent, budget: int, K: int) -> tuple[int, int]:
             n = n * (K - 1) + gain[min(t, top)] * d
             if n * den > num * d:
                 num, den = n, d
-    if budget < top and K * gain[budget] * den < num:
-        num, den = K * gain[budget], 1
     return num, den * opponent.matrix.row_count * K * K
 
 
@@ -172,10 +171,8 @@ def certify(
     Each strategy is a matrix, tabulated here, or its `Opponent` record.
     The reply bounds squeeze secured_by_A from below and secured_by_B from
     above; when they meet, weak duality makes both levels equal to them.
-    Otherwise a best-response run computes secured_by_A exactly (its reply
-    budget B is the smaller one); when it reaches B's bound, secured_by_A
-    <= secured_by_B <= bound makes both levels equal, and only otherwise
-    does a second run compute secured_by_B.
+    Otherwise one best-response run per side computes secured_by_A and
+    secured_by_B exactly.
     """
     if not (is_int(A) and is_int(B) and is_int(K)):
         raise DimensionMismatch(f"A, B and K must be ints, got ({A!r}, {B!r}, {K!r})")
@@ -190,12 +187,10 @@ def certify(
         raise DimensionMismatch(f"the game needs K >= 2 battlefields, got {K}")
     ceiling_num, ceiling_den = _reply_bound(side_B, A, K)
     floor_num, floor_den = _reply_bound(side_A, B, K)
-    ceiling = Fraction(ceiling_num, ceiling_den)
     if -floor_num * ceiling_den == ceiling_num * floor_den:
+        ceiling = Fraction(ceiling_num, ceiling_den)
         return Certificate(ceiling, ceiling, True, "bound")
     secured_by_A = -best_response_value(side_A, B, K)
-    if secured_by_A == ceiling:
-        return Certificate(secured_by_A, secured_by_A, True, "dp")
     secured_by_B = best_response_value(side_B, A, K)
     return Certificate(secured_by_A, secured_by_B, secured_by_A == secured_by_B, "dp")
 

@@ -196,7 +196,7 @@ def test_nine_three_three_is_worth_three_quarters():
     attack = PartitionMatrix(9, 3, ((3, 3, 3),) + ((4, 4, 1),) * 3)
     defense = PartitionMatrix(3, 3, ((3, 0, 0),) * 3 + ((2, 1, 0),))
     cert = certify(attack, defense, 9, 3, 3)
-    assert cert == Certificate(Fraction(3, 4), Fraction(3, 4), True, "dp")
+    assert cert == Certificate(Fraction(3, 4), Fraction(3, 4), True, "bound")
     equal_budget = Fraction(3 * 3 - 3 + spec.R, 3 * 3)
     assert equal_budget == Fraction(2, 3) and cert.secured_by_A != equal_budget
 
@@ -285,7 +285,7 @@ def test_low_b_solves_with_one_row_per_side():
     # and C(40, 20) rows at (100, 2, 40).
     for (A, B, K), case, value, proof in (
         ((70, 1, 20), GameCase.LOW_B_TRIVIAL, Fraction(1), "bound"),
-        ((100, 2, 40), GameCase.LOW_B_EQUAL, Fraction(40 * 40 - 40 + 20, 40 * 40), "dp"),
+        ((100, 2, 40), GameCase.LOW_B_EQUAL, Fraction(40 * 40 - 40 + 20, 40 * 40), "bound"),
     ):
         m, R = divmod(A, K)
         report = solve(GameSpec(A, B, K))
@@ -609,8 +609,12 @@ def test_symmetrize_examples():
             symmetrize(allocation, 2)
 
 
-@pytest.mark.parametrize("allocation, battlefields", [((1, 2), 2.0), ((1,), True)])
+@pytest.mark.parametrize(
+    "allocation, battlefields", [((1, 2), 2.0), ((1,), True), ((1, 2), "2"), ((1, 2), 2.5)]
+)
 def test_symmetrize_rejects_a_width_that_is_not_an_int(allocation, battlefields):
+    # Before the length check, which said "allocation has 2 entries for 2
+    # battlefields" of "2".
     with pytest.raises(DimensionMismatch, match="battlefields must be an int"):
         symmetrize(allocation, battlefields)
 

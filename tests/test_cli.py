@@ -337,6 +337,16 @@ def test_implement_rejects_malformed_distribution(capsys, dist):
     assert err.count("\n") == 1
 
 
+def test_implement_rejects_two_keys_for_one_point(capsys):
+    # Weights summing to 2: "01" used to overwrite "1" and print [[1, 1]].
+    dist = json.dumps({"weights": {"1": "1", "01": "1"}})
+    code, out, err = run(capsys, "implement", "--dist", dist, "--c", "2", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err == (
+        "MalformedJSON: distribution JSON is malformed: point key '01' is not written as 1\n"
+    )
+
+
 def test_implement_rejects_deeply_nested_distribution_json(capsys):
     with pytest.raises(SystemExit) as excinfo:
         nested = "[" * 100_000 + "]" * 100_000

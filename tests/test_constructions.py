@@ -699,6 +699,9 @@ def test_generic_implement_checks_mean():
         (point_mass(1), 2, 2, 10.0, "max_rows"),
         (base_dist(U_ODD, 1), 2, True, 5040, "battlefields"),
         (base_dist(U_ODD, 2), 6.0, 3, 5040, "budget"),
+        # Before the range check: "2" raised a bare TypeError, 0.5 the range message.
+        (point_mass(1), 2, "2", 5040, "battlefields"),
+        (point_mass(1), 2, 0.5, 5040, "battlefields"),
     ],
 )
 def test_generic_implement_rejects_a_size_that_is_not_an_int(

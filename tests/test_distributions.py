@@ -32,7 +32,7 @@ from blottokit.distributions import (
     vec_add,
     vec_scale,
 )
-from blottokit.errors import BadIndex, BadM, BadWeights
+from blottokit.errors import BadIndex, BadM, BadWeights, MalformedJSON
 
 
 def dist_of(weights: dict[int, Fraction]) -> Dist:
@@ -261,7 +261,17 @@ def test_gain_table_rejects_empty_or_negative_counts():
 
 
 @pytest.mark.parametrize(
-    "counts, top", [({0.5: 1}, 2), ({0: True}, 2), ({0: 1}, 2.0), ({0: 1.0, 1: 1}, 2)]
+    "counts, top",
+    [
+        ({0.5: 1}, 2),
+        ({0: True}, 2),
+        ({0: 1}, 2.0),
+        ({0: 1.0, 1: 1}, 2),
+        # Before the range check, which summed "1" into a bare TypeError and
+        # called -0.5 a negative count.
+        ({0: "1"}, 2),
+        ({0: -0.5, 1: 2}, 2),
+    ],
 )
 def test_gain_table_rejects_a_point_count_or_top_that_is_not_an_int(counts, top):
     with pytest.raises(BadWeights, match="needs int points, counts and top"):
@@ -334,3 +344,16 @@ def test_json_round_trip():
 @given(small_dists)
 def test_json_round_trip_random(d):
     assert dist_from_json(dist_to_json(d)) == d
+
+
+@pytest.mark.parametrize("key", ["01", " 2 ", "+1", "1_0", "\u0663", "-0"])
+def test_dist_from_json_reads_each_point_key_in_one_form(key):
+    # int() read each of these, so "01" and "1" could name one point and
+    # the later weight overwrote the earlier.
+    with pytest.raises(MalformedJSON, match="point key"):
+        dist_from_json({"weights": {key: "1/2", "7": "1/2"}})
+
+
+def test_dist_from_json_leaves_a_negative_key_to_the_weights_check():
+    with pytest.raises(BadWeights):
+        dist_from_json({"weights": {"-1": "1/2", "1": "1/2"}})

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blottokit.errors import ZeroDenominator
+from blottokit.errors import InexactNumber, ZeroDenominator
 from blottokit.exactmath import all_int, all_rat, format_rat, is_int, is_rat, parse_rat, rat
 
 
@@ -50,6 +50,29 @@ def test_format_rat_always_slashes():
     assert format_rat(Fraction(5, 18)) == "5/18"
     assert format_rat(Fraction(7)) == "7/1"
     assert format_rat(Fraction(-1, 2)) == "-1/2"
+    assert format_rat(-3) == "-3/1"
+
+
+@pytest.mark.parametrize("value", [0.1, True, 2.0, Count.TWO, "1/2", None])
+def test_format_rat_rejects_a_value_that_is_not_exact(value):
+    # 0.1 used to print its binary expansion and True to print "1/1".
+    with pytest.raises(InexactNumber, match="format_rat"):
+        format_rat(value)
+
+
+@pytest.mark.parametrize(
+    "args", [(True, 2), (1, True), (0.5, 1), (1, 2.0), (Count.TWO, 3), ("1", 2), (0.5, 0)]
+)
+def test_rat_rejects_an_argument_that_is_not_exact(args):
+    # rat(True, 2) used to return 1/2 and rat(0.5, 1) to raise a bare TypeError.
+    with pytest.raises(InexactNumber, match="rat takes") as caught:
+        rat(*args)
+    assert isinstance(caught.value, TypeError)
+
+
+def test_rat_takes_fractions():
+    assert rat(Fraction(1, 2), Fraction(3, 4)) == Fraction(2, 3)
+    assert rat(Fraction(3, 2)) == Fraction(3, 2)
 
 
 def test_parse_rat_accepts_fraction_and_integer_forms():

@@ -42,12 +42,14 @@ def test_every_error_derives_from_the_base_and_keeps_its_builtin_parent():
         for cls in vars(errors).values()
         if inspect.isclass(cls) and cls.__module__ == errors.__name__ and cls is not BlottoError
     ]
-    assert len(classes) == 18
+    assert len(classes) == 19
     for cls in classes:
         assert issubclass(cls, BlottoError), cls
         builtin = [base for base in cls.__bases__ if base is not BlottoError]
         assert len(builtin) == 1 and builtin[0].__module__ == "builtins", cls
-        assert issubclass(cls, (ValueError, AssertionError, RuntimeError, ZeroDivisionError))
+        assert issubclass(
+            cls, (ValueError, TypeError, AssertionError, RuntimeError, ZeroDivisionError)
+        )
 
 
 def _relative_imports(tree: ast.AST) -> list[tuple[str, ast.ImportFrom]]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from blottokit import verify
 from blottokit.blotto import GameCase, GameSpec, classify, is_solved, solve, sweep_certify
 from blottokit.constructions import PartitionMatrix, build_EO, E
-from blottokit.distributions import payoff_H, point_mass
+from blottokit.distributions import hull_height, payoff_H, point_mass
 from blottokit.errors import DimensionMismatch, InfeasibleRange
 from blottokit.verify import (
     Certificate,
@@ -202,33 +202,76 @@ def test_hull_first_certificates_match_the_dp_over_the_solved_grid():
     assert proofs == {
         ("HIGH_B", "bound"): 2692,
         ("LOW_B_TRIVIAL", "bound"): 1051,
-        ("LOW_B_EQUAL", "bound"): 28,
-        ("LOW_B_EQUAL", "dp"): 131,
+        ("LOW_B_EQUAL", "bound"): 70,
+        ("LOW_B_EQUAL", "dp"): 89,
     }
 
 
-def test_largest_entry_bound_pins_low_b_trivial_replies():
+def full_hull_bound(opponent: verify.Opponent, budget: int, K: int) -> Fraction:
+    """The General Lotto bound on the opponent's full hull, over every entry
+    of the gain table whatever the reply's budget."""
+    gain, hull = opponent.gain, opponent.hull
+    top = len(gain) - 1
+    scale = opponent.matrix.row_count * K * K
+    if budget % 2 == 0:
+        return K * Fraction(*hull_height(hull, budget, K)) / scale
+    return max(
+        gain[min(t, top)] + (K - 1) * Fraction(*hull_height(hull, budget - t, K - 1))
+        for t in range(1, min(budget, top + 1) + 1, 2)
+    ) / scale
+
+
+def test_reply_bound_lies_between_the_dp_and_both_earlier_bounds_over_the_solved_grid():
+    # Each side of every solved instance, K <= 8 and A <= 40: the hull over
+    # the entries a reply can hold is never below the DP, nor above the full
+    # hull's bound or, when budget < top, the largest-entry bound K *
+    # gain[budget].  It is below the full hull's bound on 964 of the 7,804
+    # side/budget pairs and below the smaller of the two on 130.
+    sides = {}
+    for K in range(2, 9):
+        for A in range(K + 1, 41):
+            for B in range(1, A):
+                spec = GameSpec(A, B, K)
+                if is_solved(classify(spec)):
+                    report = solve(spec)
+                    sides[report.strategy_A, B] = sides[report.strategy_B, A] = None
+    below_full = below_both = 0
+    for matrix, budget in sides:
+        opponent = verify.tabulate(matrix)
+        K = matrix.battlefields
+        bound = Fraction(*verify._reply_bound(opponent, budget, K))
+        full = ceiling = full_hull_bound(opponent, budget, K)
+        if budget < len(opponent.gain) - 1:
+            ceiling = min(full, Fraction(opponent.gain[budget], matrix.row_count * K))
+        assert best_response_value(opponent, budget, K) <= bound <= ceiling, (matrix, budget)
+        below_full += bound < full
+        below_both += bound < ceiling
+    assert (len(sides), below_full, below_both) == (7804, 964, 130)
+
+
+def test_restricted_hull_pins_low_b_trivial_replies():
     # With B < m = A // K, every entry of A's one row is above B's whole
-    # budget, so each of B's replies loses every battlefield: K * gain[B]
-    # caps the reply at -1 exactly.  The hull bound alone is above -1 on 371
-    # of these 486 instances.
-    seen = 0
+    # budget, so each of B's replies loses every battlefield: the hull of
+    # the gain table up to B is flat there and caps the reply at -1 exactly.
+    # The full hull is above -1 on 371 of these 486 instances.
+    seen = above = 0
     for K in range(2, 7):
         for A in range(2 * K, 31):
             for B in range(1, A // K):
                 spec = GameSpec(A, B, K)
                 assert classify(spec) is GameCase.LOW_B_TRIVIAL, spec
-                row = solve(spec).strategy_A
-                assert row.row_count == 1
-                assert Fraction(*verify._reply_bound(verify.tabulate(row), B, K)) == -1
+                row = verify.tabulate(solve(spec).strategy_A)
+                assert row.matrix.row_count == 1
+                assert Fraction(*verify._reply_bound(row, B, K)) == -1
+                above += full_hull_bound(row, B, K) > -1
                 seen += 1
-    assert seen == 486
+    assert (seen, above) == (486, 371)
     assert solve(GameSpec(6, 2, 2)).certificate.proof == "bound"
 
 
-def test_certify_runs_the_second_dp_only_when_the_first_falls_short(monkeypatch):
-    # A's level comes first (reply budget B); when it already reaches B's
-    # bound, both levels are pinned and B's DP is skipped.
+def test_certify_runs_both_dps_when_the_bounds_differ(monkeypatch):
+    # Meeting bounds certify with no DP; otherwise each side's level comes
+    # from its own DP, A's (reply budget B) first.
     budgets = []
     dp = verify.best_response_value
 
@@ -237,13 +280,26 @@ def test_certify_runs_the_second_dp_only_when_the_first_falls_short(monkeypatch)
         return dp(opponent, budget, K)
 
     monkeypatch.setattr(verify, "best_response_value", counted)
-    for (A, B, K), want in (((4, 2, 2), [2]), ((6, 3, 2), [3, 6])):
-        budgets.clear()
-        report = solve(GameSpec(A, B, K))
-        assert budgets == want, (A, B, K)
-        dp_A = dp(report.strategy_A, B, K)
-        dp_B = dp(report.strategy_B, A, K)
-        assert report.certificate == Certificate(-dp_A, dp_B, -dp_A == dp_B, "dp")
+    report = solve(GameSpec(4, 2, 2))
+    assert budgets == []
+    assert report.certificate == Certificate(Fraction(1, 2), Fraction(1, 2), True, "bound")
+    report = solve(GameSpec(6, 3, 2))
+    assert budgets == [3, 6]
+    dp_A = dp(report.strategy_A, 3, 2)
+    dp_B = dp(report.strategy_B, 6, 2)
+    assert report.certificate == Certificate(-dp_A, dp_B, -dp_A == dp_B, "dp")
+
+
+def test_sweep_runs_106_dps_over_the_tier_one_grid(monkeypatch):
+    # Of sweep_certify(6, 30)'s 1,504 solved rows, 53 fall back to the DP,
+    # two runs each.
+    calls = []
+    dp = verify.best_response_value
+    monkeypatch.setattr(
+        verify, "best_response_value", lambda *args: calls.append(args) or dp(*args)
+    )
+    rows = sweep_certify(6, 30)
+    assert (sum(row.certified is not None for row in rows), len(calls)) == (1504, 106)
 
 
 def test_certify_falls_back_to_the_dp_when_the_bounds_differ():
@@ -342,8 +398,10 @@ def test_sweep_rejects_bad_bounds():
         sweep_certify(2, 2)
 
 
-@pytest.mark.parametrize("kmax, amax", [(3.0, 6), (3, 6.0)])
+@pytest.mark.parametrize("kmax, amax", [(3.0, 6), (3, 6.0), ("3", 6), (4, "6"), (1.5, 6)])
 def test_sweep_rejects_bounds_that_are_not_ints(kmax, amax):
+    # The type is checked before the range: "3" raised a bare TypeError and
+    # 1.5 the range message.
     with pytest.raises(InfeasibleRange, match="needs int kmax and amax"):
         sweep_certify(kmax, amax)
 
