@@ -19,8 +19,6 @@ from fractions import Fraction
 from collections.abc import Callable, Iterable, Sequence
 
 from .constructions import (
-    P1,
-    P2,
     PartitionMatrix,
     build_prop3_B,
     build_prop4_A,
@@ -30,6 +28,8 @@ from .constructions import (
     build_prop10_B,
     implement_u,
     matrix_to_json,
+    prop5_excluded,
+    prop5_point,
 )
 from .distributions import U_ODD, payoff_H
 from .errors import (
@@ -52,8 +52,6 @@ from .distributions import mix
 from .general_lotto import lotto_optimal_A, lotto_optimal_B
 
 fallback_events = ()
-
-_EXCLUDED_A_FOR_K3 = frozenset({7, 13, 19})
 
 
 class GameCase(str, enum.Enum):
@@ -154,7 +152,7 @@ def classify(spec: GameSpec) -> GameCase:
             return GameCase.HIGH_B_NDIV_EVEN
         return GameCase.UNSOLVED_INTERMEDIATE
     if B > 2 * m:
-        if K == 3 and A in _EXCLUDED_A_FOR_K3:
+        if prop5_excluded(m, K, R):
             return GameCase.UNSOLVED_EXCLUDED
         return GameCase.HIGH_B_NDIV_ODD
     return GameCase.UNSOLVED_INTERMEDIATE
@@ -209,7 +207,7 @@ def _regime(spec: GameSpec, case: GameCase) -> tuple[Rat, Plan, Plan]:
     numerator = (A - B) * scale - B * R * (K - R)
     # The two-point family realizes the strategy that also secures the
     # odd-B value, so it is used for every fractional case but Prop. 4's.
-    attack = build_prop5_A, (m, K, A, P1 if 2 * R <= K else P2)
+    attack = build_prop5_A, (m, K, A, prop5_point(K, R))
     if case is GameCase.HIGH_B_NDIV_EVEN:
         if (A - K) % 2 == 0:
             attack = build_prop4_A, (m, K, A)

@@ -10,8 +10,6 @@ from typing import Iterator
 
 from .blotto import GameSpec, blotto_value, classify, report_to_json, solve, sweep_certify
 from .constructions import (
-    P1,
-    P2,
     PartitionMatrix,
     build_prop3_B,
     build_prop4_A,
@@ -23,6 +21,7 @@ from .constructions import (
     implement_u,
     matrix_from_json,
     matrix_to_json,
+    prop5_point,
 )
 from .distributions import U_EVEN, U_ODD, Dist, base_dist, dist_from_json, mean
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     MeanMismatch,
     UnsolvedCase,
 )
-from .exactmath import Rat, format_rat, parse_rat
+from .exactmath import Rat, format_rat, parse_int, parse_rat
 from .general_lotto import LottoSpec, lotto_value
 from .verify import certify, rows_to_csv
 
@@ -114,11 +113,12 @@ def _closed_form_candidates(
                 # parity is a definitive no, so let the builder's error out.
                 yield implement_u(kind, grid, budget, battlefields)
 
+    # Prop. 5's other point raises BadAlpha at this budget.
+    point = prop5_point(battlefields, budget % battlefields)
     builders = [
         lambda m: build_prop3_B(m, battlefields, budget),
         lambda m: build_prop4_A(m, battlefields, budget),
-        lambda m: build_prop5_A(m, battlefields, budget, P1),
-        lambda m: build_prop5_A(m, battlefields, budget, P2),
+        lambda m: build_prop5_A(m, battlefields, budget, point),
         lambda m: build_prop6_B(m, battlefields),
         lambda m: build_prop7_B(m, battlefields, budget),
         lambda m: build_prop10_B(m, battlefields, budget),
@@ -198,9 +198,9 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _add_game_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=int, required=True, help="stronger player's budget")
-    parser.add_argument("--b", type=int, required=True, help="weaker player's budget")
-    parser.add_argument("--k", type=int, required=True, help="number of battlefields")
+    parser.add_argument("--a", type=parse_int, required=True, help="stronger player's budget")
+    parser.add_argument("--b", type=parse_int, required=True, help="weaker player's budget")
+    parser.add_argument("--k", type=parse_int, required=True, help="number of battlefields")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='distribution JSON, e.g. \'{"weights": {"0": "1/2", "2": "1/2"}}\'',
     )
-    implement_p.add_argument("--c", type=int, required=True, help="per-row budget")
+    implement_p.add_argument("--c", type=parse_int, required=True, help="per-row budget")
     implement_p.add_argument(
-        "--k", type=int, required=True, help="number of battlefields"
+        "--k", type=parse_int, required=True, help="number of battlefields"
     )
     implement_p.add_argument(
         "--search",
@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser(
         "sweep", help="classify, solve, and certify a grid; write CSV"
     )
-    sweep_p.add_argument("--kmax", type=int, required=True, help="largest battlefield count")
-    sweep_p.add_argument("--amax", type=int, required=True, help="largest stronger budget")
+    sweep_p.add_argument("--kmax", type=parse_int, required=True, help="largest battlefield count")
+    sweep_p.add_argument("--amax", type=parse_int, required=True, help="largest stronger budget")
     sweep_p.add_argument("--out", required=True, help="output CSV path")
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -60,6 +60,21 @@ P2 = "P2"
 
 _NODE_BUDGET = 2_000_000
 
+# The m at which Prop. 5's S5 split core fails its self-check.  From K = 5
+# on, the wider T4 core stands in; K = 3 has no room for it, so Prop. 5 has
+# no P1 matrix at K = 3 for these m, which are `classify`'s excluded cases.
+P1_GAP = frozenset({2, 4, 6})
+
+
+def prop5_point(K: int, r: int) -> str:
+    """Prop. 5's point for remainder r = A mod K: P1 when 2r <= K, P2 otherwise."""
+    return P1 if 2 * r <= K else P2
+
+
+def prop5_excluded(m: int, K: int, r: int) -> bool:
+    """Whether Prop. 5 has no matrix for A = Km + r: P1 at K = 3 with m in the gap."""
+    return K == 3 and m in P1_GAP and prop5_point(K, r) == P1
+
 
 def _require_ints(**values: object) -> None:
     """Raise DimensionMismatch naming the first value that is not an `int`
@@ -287,7 +302,7 @@ def _prop5_counts(m: int, K: int, budget: int) -> IntVec:
     grids of size m plus (2r - K)m odd grids of size m + 1.
     """
     r = budget - K * m
-    if 2 * r <= K:
+    if prop5_point(K, r) == P1:
         return {v: K * (m + 1) - r * (v + 1) if v % 2 else r * v for v in range(1, 2 * m + 1)}
     odd = (2 * r - K) * m
     counts = {
@@ -1206,8 +1221,8 @@ def _prop5_core(m: int, K: int, r: int, point: str) -> tuple[list[_Piece], int, 
         name, width, staircases, rows = "S2", 3, 1, _family_rows(_p1_tied_blocks(m))
     elif K >= 5 and r == 1:
         name, width, staircases, rows = "S3", 5, 1, _family_rows(_p1_single_blocks(m))
-    elif K >= 5 and m <= 6:
-        # The S5 split family fails its self-check at m = 2, 4 and 6.
+    elif m in P1_GAP:
+        # T4 stands in for S5, which fails here (K = 3 was refused before).
         name, width, staircases = "T4", 5, 2
         rows = _family_rows(_p1_single_blocks(m), 1, _p1_wide_moves)
     else:
@@ -1245,16 +1260,13 @@ def build_prop5_A(m: int, K: int, A: int, point: str) -> PartitionMatrix:
     if A <= K or A % K == 0 or A // K != m:
         raise BadCase(f"need A > K, K not dividing A and m = A // K, got ({m}, {K}, {A})")
     r = A % K
-    if point == P1:
-        if 2 * r > K:
-            raise BadAlpha(f"P1 needs A mod K at most K/2, got {r} over K={K}")
-        if K == 3 and m in (2, 4, 6):
-            raise ExcludedCase(f"no P1 construction for K=3 with m={m}")
-    elif point == P2:
-        if 2 * r <= K:
-            raise BadAlpha(f"P2 needs A mod K above K/2, got {r} over K={K}")
-    else:
+    if point not in (P1, P2):
         raise BadCase(f"point must be P1 or P2, got {point!r}")
+    if point != prop5_point(K, r):
+        bound = "at most" if point == P1 else "above"
+        raise BadAlpha(f"{point} needs A mod K {bound} K/2, got {r} over K={K}")
+    if prop5_excluded(m, K, r):
+        raise ExcludedCase(f"no P1 construction for K=3 with m={m}")
     pieces = _prop5_pieces(m, K, r, point)
     return _glue("build_prop5_A", pieces, _prop5_counts(m, K, A), A, K)
 

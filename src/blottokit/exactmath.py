@@ -2,7 +2,8 @@
 
 Rationals are `fractions.Fraction` values throughout the package; this module
 pins the constructor and the "p/q" text form used by every external
-interface (no floats anywhere), and the exact-input rule of every entry point.
+interface (no floats anywhere), the one form in which text is read back, and
+the exact-input rule of every entry point.
 """
 
 from __future__ import annotations
@@ -57,14 +58,27 @@ def format_rat(value: Rat | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def parse_int(text: str) -> int:
+    """Read an integer written as `str(int)` writes it: ASCII digits after
+    an optional "-", with no leading zero, space, "+" or "_" ("-0" is not
+    such a form).  Anything else raises ValueError."""
+    value = int(text)
+    if text != str(value):
+        raise ValueError(f"{text!r} is not written as {value}")
+    return value
+
+
 def parse_rat(text: str) -> Rat:
-    """Parse "p/q" or a bare integer string into a rational."""
-    parts = text.strip().split("/")
+    """Parse "p/q" or a bare integer string into a rational, each part read
+    by `parse_int` and q positive: q = 0 raises ZeroDenominator, any other
+    form ValueError.  So every text that `format_rat` writes parses."""
+    parts = text.split("/")
     if len(parts) == 1:
-        return Fraction(int(parts[0]))
+        return Fraction(parse_int(parts[0]))
     if len(parts) == 2:
-        num, den = int(parts[0]), int(parts[1])
+        num, den = parse_int(parts[0]), parse_int(parts[1])
         if den == 0:
             raise ZeroDenominator(f"parse_rat({text!r})")
-        return Fraction(num, den)
+        if den > 0:
+            return Fraction(num, den)
     raise ValueError(f"not a rational: {text!r}")

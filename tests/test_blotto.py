@@ -8,6 +8,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,11 +28,15 @@ from blottokit.blotto import (
     symmetrize,
 )
 from blottokit.constructions import (
+    P1,
+    P2,
     PartitionMatrix,
     build_EO,
+    build_prop5_A,
     cardinality,
     E,
     matrix_to_json,
+    prop5_point,
 )
 from blottokit.distributions import (
     U_EVEN,
@@ -45,9 +50,11 @@ from blottokit.distributions import (
     upper_hull,
 )
 from blottokit.errors import (
+    BadAlpha,
     BadWeights,
     CertificationFailed,
     DimensionMismatch,
+    ExcludedCase,
     OutOfTheoremScope,
     TooLarge,
     UnsolvedCase,
@@ -130,6 +137,33 @@ def test_classify_equal_budget_scope():
     assert classify(GameSpec(15, 3, 4)) is GameCase.LOW_B_EQUAL
     assert classify(GameSpec(9, 4, 2)) is GameCase.LOW_B_EQUAL
     assert classify(GameSpec(6, 2, 3)) is GameCase.LOW_B_EQUAL
+
+
+def test_classify_excludes_exactly_the_instances_prop5_cannot_build():
+    # Over 2 <= K <= 8, K < A <= 40: the builder takes the point that the
+    # rule names and refuses the other, and `classify` excludes exactly the
+    # odd-B HIGH_B_NDIV instances whose Prop. 5 plan raises ExcludedCase.
+    refused, excluded = [], []
+    for K in range(2, 9):
+        for A in range(K + 1, 41):
+            m, r = divmod(A, K)
+            excluded += [
+                (A, B, K)
+                for B in range(1, A)
+                if classify(GameSpec(A, B, K)) is GameCase.UNSOLVED_EXCLUDED
+            ]
+            if r == 0:
+                continue
+            point = prop5_point(K, r)
+            assert point == (P1 if 2 * r <= K else P2)
+            with pytest.raises(BadAlpha):
+                build_prop5_A(m, K, A, P2 if point == P1 else P1)
+            try:
+                build_prop5_A(m, K, A, point)
+            except ExcludedCase:
+                refused += [(A, B, K) for B in range(2 * m + 1, K * m + 1, 2)]
+    assert excluded == refused
+    assert excluded == [(7, 5, 3), (13, 9, 3), (13, 11, 3), (19, 13, 3), (19, 15, 3), (19, 17, 3)]
 
 
 def test_classify_is_total():
@@ -327,6 +361,27 @@ def test_sweep_solved_instances_certify():
                 report = solve(spec)
                 assert report.certificate.equilibrium
                 assert report.certificate.secured_by_A == report.value
+
+
+def scope_table(rows: list[SweepRow]) -> list[str]:
+    """README's per-case table of `rows`: instances and certified solves."""
+    instances = Counter(row.case for row in rows)
+    certified = Counter(row.case for row in rows if row.certified)
+    lines = ["| Case | Instances | Certified |", "| --- | ---: | ---: |"]
+    for case in GameCase:
+        done = f"{certified[case.value]:,}" if is_solved(case) else "—"
+        lines.append(f"| `{case.value}` | {instances[case.value]:,} | {done} |")
+    lines.append(f"| All | {len(rows):,} | {sum(certified.values()):,} |")
+    return lines
+
+
+def test_readme_scope_table_is_the_generated_one():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| Case | Instances | Certified |")
+    end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+    expected = scope_table(sweep_certify(8, 40))
+    assert lines[start:end] == expected, "\n".join(expected)
 
 
 def test_solve_json_bytes_are_pinned():

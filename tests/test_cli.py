@@ -347,6 +347,21 @@ def test_implement_rejects_two_keys_for_one_point(capsys):
     )
 
 
+def test_implement_reads_a_weight_only_in_the_form_format_rat_writes(capsys):
+    # "1_0/10" used to read as 1 and print [[1, 1]].
+    dist = json.dumps({"weights": {"1": "1_0/10"}})
+    code, out, err = run(capsys, "implement", "--dist", dist, "--c", "2", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedJSON: ")
+
+
+def test_implement_search_says_no_to_a_support_above_the_budget(capsys):
+    dist = json.dumps({"weights": {"0": "3/4", "4": "1/4"}})
+    code, out, err = run(capsys, "implement", "--dist", dist, "--c", "2", "--k", "2", "--search")
+    assert (code, out) == (1, "")
+    assert err.startswith("UnsolvedCase: ")
+
+
 def test_implement_rejects_deeply_nested_distribution_json(capsys):
     with pytest.raises(SystemExit) as excinfo:
         nested = "[" * 100_000 + "]" * 100_000
@@ -473,6 +488,33 @@ def test_usage_errors_exit_with_code_2(capsys):
         main(["lotto-value", "--a", "7//3", "--b", "1"])
     assert excinfo.value.code == 2
     assert "not a rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("value", "--a", "1_0", "--b", "3", "--k", "3"), "--a"),
+        (("solve", "--a", "7", "--b", " 6", "--k", "2"), "--b"),
+        (("classify", "--a", "7", "--b", "5", "--k", "+3"), "--k"),
+        (("implement", "--dist", '{"weights": {"1": "1"}}', "--c", "02", "--k", "2"), "--c"),
+        (("implement", "--dist", '{"weights": {"1": "1"}}', "--c", "2", "--k", "\u0662"), "--k"),
+        (("sweep", "--kmax", "2_0", "--amax", "5", "--out", "unused.csv"), "--kmax"),
+        (("sweep", "--kmax", "2", "--amax", "5 ", "--out", "unused.csv"), "--amax"),
+        (("lotto-value", "--a", " 7 / 2 ", "--b", "1"), "--a"),
+        (("lotto-value", "--a", "7/2", "--b", "1/-2"), "--b"),
+    ],
+)
+def test_number_flags_read_only_the_forms_the_program_writes(
+    capsys, tmp_path, monkeypatch, argv, flag
+):
+    # `int()` reads every one of these numbers; read that way,
+    # `value --a 1_0 --b 3 --k 3` printed 7/9 and
+    # `lotto-value --a ' 7 / 2 ' --b 1` printed 17/24.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: " in err
+    assert not (tmp_path / "unused.csv").exists()
 
 
 def test_domain_errors_exit_with_code_1(capsys):

@@ -718,6 +718,17 @@ def test_generic_implement_respects_parity_law():
     assert generic_implement(base_dist(U_ODD, 2), 6, 3) is None
 
 
+def test_generic_implement_says_no_before_searching_when_the_support_tops_the_budget(
+    monkeypatch,
+):
+    def no_search(*args):
+        raise AssertionError("generic_implement searched")
+
+    monkeypatch.setattr(constructions, "_attempt", no_search)
+    target = Dist.from_weights({0: Fraction(3, 4), 4: Fraction(1, 4)})
+    assert generic_implement(target, 2, 2) is None
+
+
 def test_generic_implement_row_cap():
     with pytest.raises(SearchExceeded):
         generic_implement(base_dist(U_EVEN, 2), 6, 3, max_rows=2)

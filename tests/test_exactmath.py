@@ -10,7 +10,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from blottokit.errors import InexactNumber, ZeroDenominator
-from blottokit.exactmath import all_int, all_rat, format_rat, is_int, is_rat, parse_rat, rat
+from blottokit.exactmath import (
+    all_int,
+    all_rat,
+    format_rat,
+    is_int,
+    is_rat,
+    parse_int,
+    parse_rat,
+    rat,
+)
 
 
 class Count(IntEnum):
@@ -85,8 +94,17 @@ def test_parse_rat_accepts_fraction_and_integer_forms():
 def test_parse_rat_rejects_bad_input():
     with pytest.raises(ZeroDenominator):
         parse_rat("1/0")
-    with pytest.raises(ValueError):
-        parse_rat("one half")
+    # After "one half", forms that `int()` reads but `format_rat` never writes.
+    for text in ("one half", "1_0/3", " +1 / 2 ", "\u0663/4", "1/-2", "+7", " 7", "07", "-0"):
+        with pytest.raises(ValueError):
+            parse_rat(text)
+
+
+def test_parse_int_reads_the_form_str_writes():
+    assert [parse_int(text) for text in ("0", "7", "-12")] == [0, 7, -12]
+    for text in ("1_0", "+1", " 1", "1 ", "01", "-0", "\u0663", "1.0", ""):
+        with pytest.raises(ValueError):
+            parse_int(text)
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**6))
