@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .blotto import GameSpec, blotto_value, classify, report_to_json, solve, sweep_certify
 from .constructions import (
@@ -38,11 +38,20 @@ from .general_lotto import LottoSpec, lotto_value
 from .verify import certify, rows_to_csv
 
 
-def _rat_arg(text: str) -> Rat:
-    try:
-        return parse_rat(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _number_arg(read: Callable[[str], int | Rat]) -> Callable[[str], int | Rat]:
+    """`read` as an argparse type: a text it refuses is a usage error that
+    gives its reason, such as `argument --a: '1_0' is not written as 10`."""
+
+    def arg(text: str) -> int | Rat:
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return arg
+
+
+_int_arg, _rat_arg = _number_arg(parse_int), _number_arg(parse_rat)
 
 
 def _json_arg(text: str) -> dict:
@@ -147,11 +156,8 @@ def _cmd_implement(args: argparse.Namespace) -> None:
             f"distribution mean {format_rat(mean(target))} does not match "
             f"budget {args.c} over {args.k} battlefields"
         )
-    match: PartitionMatrix | None = None
-    for candidate in _closed_form_candidates(target, args.c, args.k):
-        if candidate.budget == args.c and candidate.to_dist() == target:
-            match = candidate
-            break
+    candidates = _closed_form_candidates(target, args.c, args.k)
+    match = next((m for m in candidates if m.budget == args.c and m.to_dist() == target), None)
     if match is None and args.search:
         match = generic_implement(target, args.c, args.k)
     if match is None:
@@ -198,9 +204,9 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _add_game_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--a", type=parse_int, required=True, help="stronger player's budget")
-    parser.add_argument("--b", type=parse_int, required=True, help="weaker player's budget")
-    parser.add_argument("--k", type=parse_int, required=True, help="number of battlefields")
+    parser.add_argument("--a", type=_int_arg, required=True, help="stronger player's budget")
+    parser.add_argument("--b", type=_int_arg, required=True, help="weaker player's budget")
+    parser.add_argument("--k", type=_int_arg, required=True, help="number of battlefields")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='distribution JSON, e.g. \'{"weights": {"0": "1/2", "2": "1/2"}}\'',
     )
-    implement_p.add_argument("--c", type=parse_int, required=True, help="per-row budget")
+    implement_p.add_argument("--c", type=_int_arg, required=True, help="per-row budget")
     implement_p.add_argument(
-        "--k", type=parse_int, required=True, help="number of battlefields"
+        "--k", type=_int_arg, required=True, help="number of battlefields"
     )
     implement_p.add_argument(
         "--search",
@@ -264,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser(
         "sweep", help="classify, solve, and certify a grid; write CSV"
     )
-    sweep_p.add_argument("--kmax", type=parse_int, required=True, help="largest battlefield count")
-    sweep_p.add_argument("--amax", type=parse_int, required=True, help="largest stronger budget")
+    sweep_p.add_argument("--kmax", type=_int_arg, required=True, help="largest battlefield count")
+    sweep_p.add_argument("--amax", type=_int_arg, required=True, help="largest stronger budget")
     sweep_p.add_argument("--out", required=True, help="output CSV path")
     sweep_p.set_defaults(func=_cmd_sweep)
 

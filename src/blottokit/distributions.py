@@ -18,7 +18,7 @@ from itertools import accumulate, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadIndex, BadM, BadWeights, MalformedJSON
-from .exactmath import Rat, all_int, all_rat, format_rat, is_int, parse_rat
+from .exactmath import Rat, all_int, all_rat, format_rat, is_int, parse_int, parse_rat
 
 IntVec = dict[int, int]
 
@@ -287,10 +287,10 @@ def dist_to_json(dist: Dist) -> dict:
 def _json_point(key: str) -> int:
     """The point a JSON key names, read only in the form `dist_to_json` writes,
     so that no two keys name one point."""
-    point = int(key)
-    if key != str(point):
-        raise ValueError(f"point key {key!r} is not written as {point}")
-    return point
+    try:
+        return parse_int(key)
+    except ValueError as exc:
+        raise ValueError(f"point key {exc}") from None
 
 
 def dist_from_json(obj: Mapping) -> Dist:

@@ -491,29 +491,46 @@ def test_usage_errors_exit_with_code_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, usage",
     [
-        (("value", "--a", "1_0", "--b", "3", "--k", "3"), "--a"),
-        (("solve", "--a", "7", "--b", " 6", "--k", "2"), "--b"),
-        (("classify", "--a", "7", "--b", "5", "--k", "+3"), "--k"),
-        (("implement", "--dist", '{"weights": {"1": "1"}}', "--c", "02", "--k", "2"), "--c"),
-        (("implement", "--dist", '{"weights": {"1": "1"}}', "--c", "2", "--k", "\u0662"), "--k"),
-        (("sweep", "--kmax", "2_0", "--amax", "5", "--out", "unused.csv"), "--kmax"),
-        (("sweep", "--kmax", "2", "--amax", "5 ", "--out", "unused.csv"), "--amax"),
-        (("lotto-value", "--a", " 7 / 2 ", "--b", "1"), "--a"),
-        (("lotto-value", "--a", "7/2", "--b", "1/-2"), "--b"),
+        (("value", "--a", "1_0", "--b", "3", "--k", "3"), "--a: '1_0' is not written as 10"),
+        (("solve", "--a", "7", "--b", " 6", "--k", "2"), "--b: ' 6' is not written as 6"),
+        (("classify", "--a", "7", "--b", "5", "--k", "+3"), "--k: '+3' is not written as 3"),
+        (
+            ("implement", "--dist", '{"weights": {"1": "1"}}', "--c", "02", "--k", "2"),
+            "--c: '02' is not written as 2",
+        ),
+        (
+            ("implement", "--dist", '{"weights": {"1": "1"}}', "--c", "2", "--k", "\u0662"),
+            "--k: '\u0662' is not written as 2",
+        ),
+        (
+            ("sweep", "--kmax", "2_0", "--amax", "5", "--out", "unused.csv"),
+            "--kmax: '2_0' is not written as 20",
+        ),
+        (
+            ("sweep", "--kmax", "2", "--amax", "5 ", "--out", "unused.csv"),
+            "--amax: '5 ' is not written as 5",
+        ),
+        (
+            ("value", "--a", "x", "--b", "3", "--k", "3"),
+            "--a: invalid literal for int() with base 10: 'x'",
+        ),
+        (("lotto-value", "--a", " 7 / 2 ", "--b", "1"), "--a: ' 7 ' is not written as 7"),
+        (("lotto-value", "--a", "7/2", "--b", "1/-2"), "--b: not a rational: '1/-2'"),
     ],
 )
 def test_number_flags_read_only_the_forms_the_program_writes(
-    capsys, tmp_path, monkeypatch, argv, flag
+    capsys, tmp_path, monkeypatch, argv, usage
 ):
-    # `int()` reads every one of these numbers; read that way,
+    # `int()` reads every one of these numbers but "x"; read that way,
     # `value --a 1_0 --b 3 --k 3` printed 7/9 and
-    # `lotto-value --a ' 7 / 2 ' --b 1` printed 17/24.
+    # `lotto-value --a ' 7 / 2 ' --b 1` printed 17/24.  Integer and
+    # rational flags alike give the reader's reason.
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert f"argument {flag}: " in err
+    assert err.endswith(f": error: argument {usage}\n")
     assert not (tmp_path / "unused.csv").exists()
 
 

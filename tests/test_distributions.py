@@ -346,10 +346,10 @@ def test_json_round_trip_random(d):
     assert dist_from_json(dist_to_json(d)) == d
 
 
-@pytest.mark.parametrize("key", ["01", " 2 ", "+1", "1_0", "\u0663", "-0"])
+@pytest.mark.parametrize("key", ["01", " 2 ", "+1", "1_0", "\u0663", "-0", "x"])
 def test_dist_from_json_reads_each_point_key_in_one_form(key):
-    # int() read each of these, so "01" and "1" could name one point and
-    # the later weight overwrote the earlier.
+    # int() read each of these but "x", so "01" and "1" could name one
+    # point and the later weight overwrote the earlier.
     with pytest.raises(MalformedJSON, match="point key"):
         dist_from_json({"weights": {key: "1/2", "7": "1/2"}})
 
